@@ -1,13 +1,13 @@
-// Microbenchmarks for the discrete-event core, run against BOTH scheduler
-// backends (heap and calendar — see docs/SIMULATOR.md).
+// Microbenchmarks for the discrete-event core (the calendar queue — see
+// docs/SIMULATOR.md).
 //
-// The headline case is BM_Churn_*: the classic hold model at 10^4–10^6
+// The headline case is BM_Churn: the classic hold model at 10^4–10^6
 // pending events (pop the minimum, reschedule it one mean-gap ahead), which
 // is what a metropolis-scale run looks like to the scheduler.  The bench
 // counts global operator new calls inside the timed region and reports them
-// as the `allocs_per_op` counter; steady-state churn must be allocation-free
-// on both backends, and the committed BENCH_event_queue.json is gated on
-// that plus a >= 3x calendar-over-heap speedup at 10^6 pending events
+// as the `allocs_per_op` counter; steady-state churn must be allocation-free,
+// and the committed BENCH_event_queue.json is gated on that plus O(1)
+// scaling: a 10^6-pending batch may take at most 2x a 10^4-pending batch
 // (tools/check_bench_json.cmake, KIND=event_queue).
 //
 // Regenerate the baseline with
@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -90,9 +89,9 @@ namespace {
 // so the committed baseline is reproducible.
 constexpr std::size_t kChurnBatch = 10000;
 
-void BM_Churn(benchmark::State& state, SchedulerKind kind) {
+void BM_Churn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  EventQueue q(kind);
+  EventQueue q;
   Rng rng(7);
   for (std::size_t i = 0; i < n; ++i) {
     q.post(rng.uniform(0.0, static_cast<double>(n)), [] {});
@@ -100,13 +99,13 @@ void BM_Churn(benchmark::State& state, SchedulerKind kind) {
   // The hold model's stationary distribution only emerges once the uniform
   // prefill has drained — a full turnover of the pending set.  Without this
   // the timed region at 10^6 pending events measures the transition (and
-  // the calendar backend's distribution-shift resizes), not steady state.
+  // the calendar's distribution-shift resizes), not steady state.
   for (std::size_t i = 0; i < n; ++i) {
     auto fired = q.pop();
     q.post(fired.time + rng.uniform(0.0, 2.0), [] {});
   }
-  // Then warm until internal capacities (slab, heap vector, calendar node
-  // pool) plateau: the steady state the acceptance gate measures begins when
+  // Then warm until internal capacities (slab, calendar node pool, service
+  // vector) plateau: the steady state the acceptance gate measures begins when
   // one full batch completes without a single allocation.
   for (int tries = 0; tries < 1000; ++tries) {
     const std::uint64_t before = allocs_now();
@@ -134,12 +133,12 @@ void BM_Churn(benchmark::State& state, SchedulerKind kind) {
 }
 
 // Ramp-and-drain: schedule n events, then pop them all.  Covers the resize
-// path of the calendar backend (the churn case never resizes).
-void BM_ScheduleDrain(benchmark::State& state, SchedulerKind kind) {
+// path of the calendar (the churn case never resizes).
+void BM_ScheduleDrain(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   for (auto _ : state) {
-    EventQueue q(kind);
+    EventQueue q;
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < n; ++i) {
       q.schedule(rng.uniform(0.0, 100.0), [&acc] { ++acc; });
@@ -154,12 +153,12 @@ void BM_ScheduleDrain(benchmark::State& state, SchedulerKind kind) {
 // Cancellation-heavy load: the retransmit-timer pattern under PR 1's fault
 // plans — most timers die before firing.  Exercises eager callable release
 // plus lazy tombstone skimming.
-void BM_CancelHeavy(benchmark::State& state, SchedulerKind kind) {
+void BM_CancelHeavy(benchmark::State& state) {
   Rng rng(4);
   std::vector<EventHandle> handles;
   handles.reserve(4096);
   for (auto _ : state) {
-    EventQueue q(kind);
+    EventQueue q;
     handles.clear();
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < 4096; ++i) {
@@ -195,38 +194,11 @@ void BM_TimerChain(benchmark::State& state) {
   }
 }
 
-void register_all() {
-  static const struct {
-    SchedulerKind kind;
-    const char* name;
-  } kBackends[] = {{SchedulerKind::kHeap, "heap"},
-                   {SchedulerKind::kCalendar, "calendar"}};
-  for (const auto& b : kBackends) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Churn_") + b.name).c_str(), BM_Churn, b.kind)
-        ->Arg(10000)
-        ->Arg(100000)
-        ->Arg(1000000)
-        ->Iterations(20);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_ScheduleDrain_") + b.name).c_str(), BM_ScheduleDrain,
-        b.kind)
-        ->Arg(1024)
-        ->Arg(16384);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_CancelHeavy_") + b.name).c_str(), BM_CancelHeavy,
-        b.kind);
-  }
-  benchmark::RegisterBenchmark("BM_TimerChain", BM_TimerChain);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK(BM_Churn)->Arg(10000)->Arg(100000)->Arg(1000000)->Iterations(20);
+BENCHMARK(BM_ScheduleDrain)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_CancelHeavy);
+BENCHMARK(BM_TimerChain);
+
+BENCHMARK_MAIN();

@@ -1,11 +1,10 @@
 // Microbenchmarks for the unit-disk topology: neighbor queries and BFS
 // routing dominate simulation time.
 //
-// The *Uncached variants pin the raw substrate (grid query + sort per
-// visited node); the *Cached variants run the epoch-versioned TopologyCache
-// under the simulator's real access pattern — one node moves, then the
-// graph is queried — so the pair measures exactly what the cache buys on
-// the hot path (components for the auditor, BFS for routing/floods).
+// The static cases query a fixed graph; the *Churn cases run the
+// epoch-versioned TopologyCache under the simulator's real access pattern —
+// one node moves, then the graph is queried — which is what the hot path
+// sees (components for the auditor, BFS for routing/floods).
 #include <benchmark/benchmark.h>
 
 #include "net/topology.hpp"
@@ -15,10 +14,8 @@ using namespace qip;
 
 namespace {
 
-Topology make_topology(std::uint32_t n, double range, Rng& rng,
-                       bool cached) {
+Topology make_topology(std::uint32_t n, double range, Rng& rng) {
   Topology topo(Rect{1000.0, 1000.0}, range);
-  topo.set_cache_enabled(cached);
   for (std::uint32_t i = 0; i < n; ++i)
     topo.add_node(i, topo.area().sample(rng));
   return topo;
@@ -29,7 +26,7 @@ Topology make_topology(std::uint32_t n, double range, Rng& rng,
 static void BM_Neighbors(benchmark::State& state) {
   Rng rng(5);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 150.0, rng, /*cached=*/false);
+  Topology topo = make_topology(n, 150.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.neighbors(i++ % n));
@@ -40,7 +37,7 @@ BENCHMARK(BM_Neighbors)->Arg(100)->Arg(200)->Arg(400);
 static void BM_HopDistance(benchmark::State& state) {
   Rng rng(6);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 150.0, rng, /*cached=*/false);
+  Topology topo = make_topology(n, 150.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.hop_distance(i % n, (i * 7 + 3) % n));
@@ -52,7 +49,7 @@ BENCHMARK(BM_HopDistance)->Arg(100)->Arg(200);
 static void BM_Components(benchmark::State& state) {
   Rng rng(7);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 120.0, rng, /*cached=*/false);
+  Topology topo = make_topology(n, 120.0, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.components());
   }
@@ -61,7 +58,7 @@ BENCHMARK(BM_Components)->Arg(200);
 
 static void BM_KHopNeighbors(benchmark::State& state) {
   Rng rng(8);
-  Topology topo = make_topology(200, 150.0, rng, /*cached=*/false);
+  Topology topo = make_topology(200, 150.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -72,33 +69,28 @@ static void BM_KHopNeighbors(benchmark::State& state) {
 BENCHMARK(BM_KHopNeighbors)->Arg(2)->Arg(3);
 
 // ---------------------------------------------------------------------------
-// Cached vs. uncached under churn: one random-waypoint style move per
-// iteration, then the query — the UniquenessAuditor / mobility-tick pattern.
-// arg0 = node count, arg1 = cache on/off.
+// Churn: one random-waypoint style move per iteration, then the query — the
+// UniquenessAuditor / mobility-tick pattern.  arg = node count.
 // ---------------------------------------------------------------------------
 
 static void BM_ComponentsChurn(benchmark::State& state) {
   Rng rng(7);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 120.0, rng, state.range(1) != 0);
+  Topology topo = make_topology(n, 120.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     topo.move_node(i++ % n, topo.area().sample(rng));
     benchmark::DoNotOptimize(topo.components_view());
   }
 }
-BENCHMARK(BM_ComponentsChurn)
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({400, 0})
-    ->Args({400, 1});
+BENCHMARK(BM_ComponentsChurn)->Arg(200)->Arg(400);
 
 static void BM_BfsSweepChurn(benchmark::State& state) {
   // Full-source BFS (hop_distances_from) after a move: the nearest-server
   // scan every baseline runs on arrival.
   Rng rng(6);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 150.0, rng, state.range(1) != 0);
+  Topology topo = make_topology(n, 150.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     topo.move_node(i % n, topo.area().sample(rng));
@@ -109,13 +101,13 @@ static void BM_BfsSweepChurn(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_BfsSweepChurn)->Args({200, 0})->Args({200, 1});
+BENCHMARK(BM_BfsSweepChurn)->Arg(200);
 
 static void BM_KHopChurn(benchmark::State& state) {
   // 3-hop neighborhood (QIP's QDSet discovery radius) after a move.
   Rng rng(8);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Topology topo = make_topology(n, 150.0, rng, state.range(1) != 0);
+  Topology topo = make_topology(n, 150.0, rng);
   std::uint32_t i = 0;
   for (auto _ : state) {
     topo.move_node(i % n, topo.area().sample(rng));
@@ -123,17 +115,17 @@ static void BM_KHopChurn(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_KHopChurn)->Args({200, 0})->Args({200, 1});
+BENCHMARK(BM_KHopChurn)->Arg(200);
 
 static void BM_AuditProbeSteadyState(benchmark::State& state) {
   // The auditor's favourable case: probes fire between movement steps, so
   // the epoch is unchanged and the partition is served from cache.
   Rng rng(7);
-  Topology topo = make_topology(200, 120.0, rng, state.range(0) != 0);
+  Topology topo = make_topology(200, 120.0, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.components_view());
   }
 }
-BENCHMARK(BM_AuditProbeSteadyState)->Arg(0)->Arg(1);
+BENCHMARK(BM_AuditProbeSteadyState);
 
 BENCHMARK_MAIN();

@@ -19,7 +19,7 @@
 // error: a snapshot never silently resumes into a different simulation.
 // Continuing a restored runner is therefore byte-identical to never having
 // stopped — the property tests/campaign_test.cpp pins for QIP and a
-// baseline engine under both QIP_SCHED backends.
+// baseline engine.
 //
 // The versioned header is the forward path: a future v2 can add direct
 // state decoding (no replay) without breaking v1 readers, which must reject

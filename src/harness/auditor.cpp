@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include "core/qip_engine.hpp"
+#include "harness/env.hpp"
 #include "util/assert.hpp"
 
 namespace qip {
@@ -14,17 +14,11 @@ namespace qip {
 UniquenessAuditor::UniquenessAuditor(Simulator& sim, const Topology& topology,
                                      const AutoconfProtocol& proto,
                                      SimTime period, SimTime grace)
-    : sim_(sim), topology_(topology), proto_(proto), grace_(grace) {
-  // Experiment override: QIP_AUDIT_GRACE=<seconds> retunes the healing
-  // horizon without a rebuild (pairs with QIP_AUDIT_TRACE for measuring
-  // conflict-window lengths).
-  if (const char* env = std::getenv("QIP_AUDIT_GRACE")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    // An unparseable value must not silently become grace 0 (the strictest
-    // possible setting); keep the configured default instead.
-    if (end != env && *end == '\0' && parsed >= 0.0) grace_ = parsed;
-  }
+    : sim_(sim),
+      topology_(topology),
+      proto_(proto),
+      grace_(grace),
+      trace_(env_bool("QIP_AUDIT_TRACE", false)) {
   probe_token_ = sim_.add_probe(period, [this] { check_now(); });
 }
 
@@ -79,7 +73,7 @@ void UniquenessAuditor::check_now() {
              << " (grace " << grace_ << "s exceeded; domain " << key.first
              << ", protocol " << proto_.name() << ")";
         // Observe-only escape hatch for debugging conflict timelines.
-        if (std::getenv("QIP_AUDIT_TRACE")) {
+        if (trace_) {
           std::fprintf(stderr, "[audit] %s\n", diff.str().c_str());
           continue;
         }

@@ -75,7 +75,10 @@ class UniquenessAuditor {
   Simulator& sim_;
   const Topology& topology_;
   const AutoconfProtocol& proto_;
-  SimTime grace_;
+  const SimTime grace_;
+  /// QIP_AUDIT_TRACE (strict switch, default off): report fatal duplicates
+  /// on stderr and continue instead of throwing.
+  const bool trace_;
   std::uint64_t probe_token_ = 0;
   std::uint64_t checks_ = 0;
   /// Live conflicts by (audit domain, address).

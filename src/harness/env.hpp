@@ -36,9 +36,9 @@ std::uint64_t parse_u64(const char* what, const char* text);
 
 /// Reads `name` as a switch: on/1/true enable, off/0/false disable
 /// (case-sensitive, matching the documented spellings).  Unset → fallback;
-/// anything else → stderr diagnostic + exit(2).  Used for QIP_TOPO_INCR:
-/// a typo'd escape hatch silently running the wrong code path is exactly
-/// the failure mode strict parsing exists to prevent.
+/// anything else → stderr diagnostic + exit(2).  Used for QIP_AUDIT_TRACE:
+/// a typo'd switch silently picking the other behaviour is exactly the
+/// failure mode strict parsing exists to prevent.
 bool env_bool(const char* name, bool fallback);
 
 /// Parses a command-line/env switch value with env_bool's strictness.

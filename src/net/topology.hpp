@@ -10,17 +10,15 @@
 // Graph queries are memoized in an epoch-versioned TopologyCache: mutations
 // bump the grid's epoch, derived state (adjacency rows, a flat CSR
 // snapshot, components, k-hop sets) is rebuilt lazily, and a move only
-// re-queries adjacency near the cells the mover left or entered.  Cached
-// and uncached paths return identical results — down to the emplace order
-// of the hop-distance map — so the cache is behavior-invariant; set
-// QIP_TOPO_CACHE=off (or call set_cache_enabled(false)) to bypass it when
-// bisecting (docs/SIMULATOR.md, "Topology cache").
+// re-queries adjacency near the cells the mover left or entered.
+// tests/net_test.cpp checks every query against an O(n^2) oracle — down to
+// BFS discovery order and the emplace order of the hop-distance map
+// (docs/SIMULATOR.md, "Topology cache").
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "geom/grid_index.hpp"
@@ -49,22 +47,6 @@ class Topology {
   /// Mutation epoch of the underlying grid (bumped by every add/remove/
   /// move).  Two equal epochs guarantee every query answer is unchanged.
   std::uint64_t epoch() const { return index_.epoch(); }
-
-  /// Cache switch, default on (QIP_TOPO_CACHE=off or =0 in the environment
-  /// starts it off).  Toggling at any time is safe: validity is epoch-based
-  /// and both paths return identical results.
-  bool cache_enabled() const { return cache_enabled_; }
-  void set_cache_enabled(bool on) { cache_enabled_ = on; }
-
-  /// Incremental CSR/components maintenance switch, default on
-  /// (QIP_TOPO_INCR=off forces full rebuilds — the escape hatch for
-  /// bisecting a suspected patch bug; malformed values exit(2),
-  /// docs/SCALE.md).  Toggling at any time is safe: both paths produce
-  /// identical snapshots.
-  bool incremental_enabled() const { return cache_.incremental_enabled(); }
-  void set_incremental_enabled(bool on) {
-    cache_.set_incremental_enabled(on);
-  }
 
   /// Maintenance counters for the differential tests and fig_metro phase
   /// reports: how often the snapshot was patched vs rebuilt, and how often
@@ -119,11 +101,6 @@ class Topology {
   template <typename Fn>
   void for_each_reachable(NodeId from, Fn&& fn) const {
     QIP_ASSERT(has_node(from));
-    if (!cache_enabled_) {
-      bfs_uncached(from, TopologyCache::kUnreached,
-                   [&](NodeId n, std::uint32_t d) { fn(n, d); });
-      return;
-    }
     const auto& graph = cache_.csr(index_);
     const auto src = graph.rank_of(from);
     QIP_ASSERT(src.has_value());
@@ -138,11 +115,6 @@ class Topology {
   template <typename Fn>
   void for_each_within(NodeId from, std::uint32_t max_depth, Fn&& fn) const {
     QIP_ASSERT(has_node(from));
-    if (!cache_enabled_) {
-      bfs_uncached(from, max_depth,
-                   [&](NodeId n, std::uint32_t d) { fn(n, d); });
-      return;
-    }
     const auto& graph = cache_.csr(index_);
     const auto src = graph.rank_of(from);
     QIP_ASSERT(src.has_value());
@@ -171,50 +143,12 @@ class Topology {
   std::uint32_t eccentricity(NodeId id) const;
 
  private:
-  /// Uncached reference implementation of the BFS queries: grid query +
-  /// sort per visited node.  `fn(node, hops)` runs in discovery order.
-  template <typename Fn>
-  void bfs_uncached(NodeId from, std::uint32_t max_depth, Fn&& fn) const;
-
-  std::vector<NodeId> neighbors_uncached(NodeId id) const;
-  std::optional<std::uint32_t> hop_distance_uncached(NodeId from,
-                                                     NodeId to) const;
-
   Rect area_;
   double range_;
   GridIndex index_;
-  bool cache_enabled_;
   // The cache holds no back-reference (methods take the index), keeping
   // Topology movable; mutable because queries are logically const.
   mutable TopologyCache cache_;
-  // Return slots for the *_view accessors when the cache is off.
-  mutable std::vector<NodeId> scratch_nbrs_;
-  mutable std::vector<std::pair<NodeId, std::uint32_t>> scratch_khop_;
-  mutable std::vector<NodeId> scratch_comp_;
-  mutable std::vector<std::vector<NodeId>> scratch_comps_;
 };
-
-template <typename Fn>
-void Topology::bfs_uncached(NodeId from, std::uint32_t max_depth,
-                            Fn&& fn) const {
-  // Discovery distances double as the visited set; the frontier carries
-  // each node's distance so the loop never re-reads the map (a plain
-  // `dist[u]` would default-insert on a logic slip and mask missing-key
-  // bugs).
-  std::unordered_map<NodeId, std::uint32_t> dist;
-  dist.emplace(from, 0);
-  fn(from, 0);
-  std::vector<std::pair<NodeId, std::uint32_t>> frontier{{from, 0}};
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const auto [u, d] = frontier[head];
-    if (d == max_depth) continue;
-    for (NodeId v : neighbors_uncached(u)) {
-      QIP_ASSERT_MSG(v != u, "self-loop in adjacency of node " << u);
-      if (!dist.emplace(v, d + 1).second) continue;
-      fn(v, d + 1);
-      frontier.emplace_back(v, d + 1);
-    }
-  }
-}
 
 }  // namespace qip

@@ -48,28 +48,16 @@ void TopologyCache::journal_push(JournalEvent ev) {
 
 void TopologyCache::note_add(NodeId id, const Point& pos) {
   if (csr_epoch_ == kNoEpoch) return;  // no snapshot to patch yet
-  if (!incremental_) {
-    journal_overflow_ = true;
-    return;
-  }
   journal_push({JournalEvent::kAdd, id, pos});
 }
 
 void TopologyCache::note_remove(NodeId id) {
   if (csr_epoch_ == kNoEpoch) return;
-  if (!incremental_) {
-    journal_overflow_ = true;
-    return;
-  }
   journal_push({JournalEvent::kRemove, id, Point{0.0, 0.0}});
 }
 
 void TopologyCache::note_move(NodeId id, const Point& new_pos) {
   if (csr_epoch_ == kNoEpoch) return;
-  if (!incremental_) {
-    journal_overflow_ = true;
-    return;
-  }
   journal_push({JournalEvent::kMove, id, new_pos});
 }
 
@@ -88,7 +76,7 @@ const TopologyCache::Csr& TopologyCache::csr(const GridIndex& index) {
   if (csr_epoch_ == index.epoch()) return csr_;
   SimContext& c = ctx_ ? *ctx_ : process_context();
   bool patched = false;
-  if (incremental_ && csr_epoch_ != kNoEpoch && !journal_overflow_) {
+  if (csr_epoch_ != kNoEpoch && !journal_overflow_) {
     obs::ProfileScope prof("topo_csr_patch", c.recorder(), c.metrics());
     patched = try_patch(index);
     if (patched) ++incremental_patches_;
@@ -364,8 +352,7 @@ void TopologyCache::rebuild_components() {
       }
     }
     // Slots ascend with ids, so sorting slots sorts the members; the outer
-    // scan ascends too, ordering groups by smallest member — both exactly
-    // as the uncached path produces them.
+    // scan ascends too, ordering groups by smallest member.
     std::sort(queue_.begin(), queue_.end());
     std::vector<NodeId> members;
     members.reserve(queue_.size());

@@ -33,14 +33,12 @@
 //     connected/split, falling back to a full rebuild when any budget is
 //     exhausted — correctness never depends on the repair succeeding.
 //
-// Discovery-order invariant (load-bearing — the golden/trace/jobs/sched/
-// quorum gates byte-compare bench output): rows store neighbor *ids*
-// ascending and slots ascend by id (patches append only strictly larger
-// ids; anything else forces a full rebuild, which re-sorts), so BFS
-// discovery order is identical to the uncached sorted-neighbor BFS whether
-// the snapshot was patched or rebuilt.  The escape hatches:
-// QIP_TOPO_INCR=off forces full rebuilds (pre-PR-10 behavior),
-// QIP_TOPO_CACHE=off bypasses the cache entirely (docs/SIMULATOR.md).
+// Discovery-order invariant (load-bearing — the golden/trace/jobs/quorum
+// gates byte-compare bench output): rows store neighbor *ids* ascending and
+// slots ascend by id (patches append only strictly larger ids; anything
+// else forces a full rebuild, which re-sorts), so BFS discovery order is
+// that of a plain sorted-neighbor BFS whether the snapshot was patched or
+// rebuilt.  tests/net_test.cpp pins this against an O(n^2) oracle.
 //
 // The class stores no reference to the GridIndex (callers pass it in), so
 // an owning Topology stays trivially movable.
@@ -74,15 +72,6 @@ class TopologyCache {
   /// (the default) falls back to the process context.  Set by the owning
   /// Topology when a World binds it to a SimContext.
   void set_context(SimContext* ctx) { ctx_ = ctx; }
-
-  /// Incremental maintenance switch (QIP_TOPO_INCR).  Off = every mutation
-  /// invalidates the snapshot wholesale and csr() rebuilds from scratch.
-  /// Toggling at any time is safe: both paths produce identical snapshots.
-  bool incremental_enabled() const { return incremental_; }
-  void set_incremental_enabled(bool on) {
-    incremental_ = on;
-    if (!on) clear_journal();
-  }
 
   /// Flat adjacency snapshot.  Slots ascend strictly by id; removed nodes
   /// leave tombstoned slots (live[slot] == 0) until the next full rebuild
@@ -165,7 +154,7 @@ class TopologyCache {
   /// BFS from slot `src`, bounded at `max_depth` hops (kUnreached = none),
   /// calling `fn(slot, depth)` for the source (depth 0) and then for every
   /// discovered node in discovery order.  Rows are id-ascending and slots
-  /// ascend with ids, so the order equals the uncached sorted-neighbor BFS.
+  /// ascend with ids, so the order equals a plain sorted-neighbor BFS.
   template <typename Fn>
   void bfs(const Csr& graph, std::uint32_t src, std::uint32_t max_depth,
            Fn&& fn) {
@@ -289,7 +278,6 @@ class TopologyCache {
 
   double range_;
   SimContext* ctx_ = nullptr;
-  bool incremental_ = true;
   std::unordered_map<NodeId, AdjRow> adj_;
 
   Csr csr_;

@@ -15,8 +15,8 @@
 //     enable.
 //   * Deterministic: recording draws no randomness and never perturbs the
 //     simulation; enabling tracing must leave every protocol outcome
-//     byte-identical (tools/check_trace_invariance.cmake enforces this for
-//     all figure benches).
+//     byte-identical (the trace_invariance ctests enforce this for all
+//     figure benches).
 //
 // Two clocks share one trace: sim-time events carry the virtual clock
 // (exported on pid 1), wall-clock profile sections carry real microseconds

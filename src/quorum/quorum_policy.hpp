@@ -45,12 +45,12 @@ const char* to_string(QuorumBackend backend);
 
 /// Strict parse of a backend name; nullopt on anything else (including
 /// nullptr and "").  Case-sensitive on purpose: the env/flag surface is
-/// exact-match like QIP_SCHED.
+/// exact-match.
 std::optional<QuorumBackend> parse_quorum_backend(const char* text);
 
 /// Reads QIP_QUORUM.  Unset/empty selects kDynamicLinear (the paper's rule
 /// and the byte-identity baseline); a malformed value is a usage error and
-/// exits 2, same contract as scheduler_kind_from_env().
+/// exits 2, same contract as the strict parsers in harness/env.hpp.
 QuorumBackend quorum_backend_from_env();
 
 /// One quorum backend.  Stateless and shared — obtain instances through

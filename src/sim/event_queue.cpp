@@ -2,82 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace qip {
 
-SchedulerKind scheduler_kind_from_env() {
-  const char* env = std::getenv("QIP_SCHED");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "calendar") == 0) {
-    return SchedulerKind::kCalendar;
-  }
-  if (std::strcmp(env, "heap") == 0) return SchedulerKind::kHeap;
-  std::fprintf(stderr,
-               "QIP_SCHED=%s is not a scheduler backend "
-               "(expected \"heap\" or \"calendar\")\n",
-               env);
-  std::exit(2);
-}
-
 namespace detail {
 
-/// Ordering key mirrored out of the slot so backends never touch callables.
+/// Ordering key mirrored out of the slot so the backend never touches
+/// callables.
 struct Key {
   SimTime time;
   std::uint64_t seq;
   std::uint32_t slot;
 };
 
-/// Strict total order all backends reproduce: earlier time first, FIFO
-/// (lower sequence) within a timestamp.
+/// Strict total order of the queue: earlier time first, FIFO (lower
+/// sequence) within a timestamp.
 inline bool key_less(SimTime at, std::uint64_t as, SimTime bt,
                      std::uint64_t bs) {
   if (at != bt) return at < bt;
   return as < bs;
 }
-
-// Backend contract (duck-typed; EventQueueCore dispatches with one
-// predictable branch on the queue's kind rather than a vtable, so the O(1)
-// calendar enqueue inlines into the scheduling hot path): a multiset of Keys
-// with peek/pop at the minimum.  peek()/pop() may mutate internal cursors
-// (the calendar queue advances and re-sorts), hence no const methods.
-
-/// Reference backend: std::push_heap/pop_heap over a flat vector.  O(log n)
-/// per operation but allocation-free at steady state (capacity is retained).
-class HeapBackend final {
- public:
-  void push(const Key& k) {
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  std::size_t size() const { return heap_.size(); }
-
-  Key peek() {
-    QIP_DCHECK(!heap_.empty());
-    return heap_.front();
-  }
-
-  Key pop() {
-    QIP_DCHECK(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Key k = heap_.back();
-    heap_.pop_back();
-    return k;
-  }
-
-  void clear() { heap_.clear(); }
-
- private:
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      return key_less(b.time, b.seq, a.time, a.seq);
-    }
-  };
-  std::vector<Key> heap_;
-};
 
 /// Calendar queue (Brown '88) with lazily-sorted buckets (the "lazy queue" /
 /// ladder-queue refinement): keys hash to buckets by virtual bucket index
@@ -106,8 +50,11 @@ class HeapBackend final {
 /// Determinism: the service set is exactly { key : vb(key.time) <= cur_vb_ }
 /// and vb is monotone, so every service key orders before every buried key;
 /// within the service the full (time, seq) comparison applies.  Pop order is
-/// therefore exactly (time, seq) ascending — bit-identical to HeapBackend —
-/// regardless of how floating-point rounding assigns times to buckets.
+/// therefore exactly (time, seq) ascending regardless of how floating-point
+/// rounding assigns times to buckets.
+///
+/// peek()/pop() mutate internal cursors (the window advances and re-sorts),
+/// hence no const methods.
 class CalendarBackend final {
  public:
   CalendarBackend() { buckets_.assign(kMinBuckets, Bucket{}); }
@@ -379,12 +326,6 @@ class CalendarBackend final {
   }
 
   void resize(std::size_t nbuckets) {
-    // Env-gated diagnostic: one line per resize makes width-adaptation
-    // behaviour visible without a profiler (see docs/SIMULATOR.md).
-    if (std::getenv("QIP_SCHED_TRACE")) {
-      std::fprintf(stderr, "resize nbuckets=%zu count=%zu width=%g work=%llu served=%llu\n",
-                   nbuckets, count_, width_, (unsigned long long)work_, (unsigned long long)served_);
-    }
     // Collect every buried node, re-sample the bucket width, then relink.
     // The width estimator measures event density where the dequeue cursor
     // actually operates — the smallest pending times — not the global mean
@@ -420,10 +361,7 @@ class CalendarBackend final {
       std::nth_element(gaps_.begin(), gaps_.begin() + gaps_.size() / 2,
                        gaps_.end());
       const double w = 3.0 * gaps_[gaps_.size() / 2];
-      if (w > 0.0 && std::isfinite(w)) {
-        width_ = w;
-        inv_width_ = 1.0 / w;
-      }
+      if (w > 0.0 && std::isfinite(w)) inv_width_ = 1.0 / w;
     }
     buckets_.assign(nbuckets, Bucket{});
     mask_ = nbuckets - 1;
@@ -467,8 +405,7 @@ class CalendarBackend final {
 
   std::size_t mask_ = kMinBuckets - 1;
   std::uint64_t cur_vb_ = 0;
-  double width_ = 1.0;
-  double inv_width_ = 1.0;
+  double inv_width_ = 1.0;  ///< 1 / bucket width
   std::uint64_t work_ = 0;    ///< empty-window advances + future-year walks
   std::uint64_t served_ = 0;  ///< keys served since the last resize
 };
@@ -485,35 +422,6 @@ struct Slot {
 };
 
 struct EventQueueCore {
-  explicit EventQueueCore(SchedulerKind k) : kind(k) {}
-
-  // Branch-on-kind dispatch: both backends are concrete members (the unused
-  // one stays empty and costs a few hundred bytes), so every key operation
-  // is a direct, inlinable call behind one perfectly-predicted branch.
-  void push_key(const Key& k) {
-    if (kind == SchedulerKind::kCalendar) {
-      calendar.push(k);
-    } else {
-      heap.push(k);
-    }
-  }
-  Key peek_key() {
-    return kind == SchedulerKind::kCalendar ? calendar.peek() : heap.peek();
-  }
-  Key pop_key() {
-    return kind == SchedulerKind::kCalendar ? calendar.pop() : heap.pop();
-  }
-  std::size_t key_count() const {
-    return kind == SchedulerKind::kCalendar ? calendar.size() : heap.size();
-  }
-  void clear_keys() {
-    if (kind == SchedulerKind::kCalendar) {
-      calendar.clear();
-    } else {
-      heap.clear();
-    }
-  }
-
   std::uint32_t acquire_slot() {
     if (!free_list.empty()) {
       const std::uint32_t idx = free_list.back();
@@ -545,7 +453,7 @@ struct EventQueueCore {
     s.seq = next_seq++;
     s.state = Slot::kLive;
     s.fn = std::move(fn);
-    push_key(Key{s.time, s.seq, idx});
+    keys.push(Key{s.time, s.seq, idx});
     ++live;
     return idx;
   }
@@ -554,14 +462,12 @@ struct EventQueueCore {
   /// live event.  Callables were already freed at cancel time; this only
   /// recycles slots.  With no cancellations outstanding it is one branch.
   void skim() {
-    while (dead > 0 && slots[peek_key().slot].state != Slot::kLive) {
-      release_slot(pop_key().slot);
+    while (dead > 0 && slots[keys.peek().slot].state != Slot::kLive) {
+      release_slot(keys.pop().slot);
     }
   }
 
-  SchedulerKind kind;
-  HeapBackend heap;
-  CalendarBackend calendar;
+  CalendarBackend keys;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_list;
   std::size_t live = 0;
@@ -591,12 +497,9 @@ void EventHandle::cancel() {
   ++core->dead;
 }
 
-EventQueue::EventQueue(SchedulerKind kind)
-    : core_(std::make_shared<detail::EventQueueCore>(kind)) {}
+EventQueue::EventQueue() : core_(std::make_shared<detail::EventQueueCore>()) {}
 
 EventQueue::~EventQueue() = default;
-
-SchedulerKind EventQueue::backend() const { return core_->kind; }
 
 EventHandle EventQueue::schedule(SimTime at, EventFn fn) {
   detail::EventQueueCore& core = *core_;
@@ -608,7 +511,7 @@ void EventQueue::post(SimTime at, EventFn fn) {
   core_->schedule_slot(at, std::move(fn));
 }
 
-std::size_t EventQueue::size() const { return core_->key_count(); }
+std::size_t EventQueue::size() const { return core_->keys.size(); }
 
 std::size_t EventQueue::live_size() const { return core_->live; }
 
@@ -616,14 +519,14 @@ SimTime EventQueue::next_time() const {
   detail::EventQueueCore& core = *core_;
   QIP_ASSERT_MSG(core.live > 0, "next_time on empty queue");
   core.skim();
-  return core.peek_key().time;
+  return core.keys.peek().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
   detail::EventQueueCore& core = *core_;
   QIP_ASSERT_MSG(core.live > 0, "pop on empty queue");
   core.skim();
-  const detail::Key key = core.pop_key();
+  const detail::Key key = core.keys.pop();
   detail::Slot& s = core.slots[key.slot];
   Fired fired{s.time, std::move(s.fn)};
   --core.live;
@@ -639,7 +542,7 @@ void EventQueue::clear() {
   for (std::uint32_t i = 0; i < core.slots.size(); ++i) {
     if (core.slots[i].state != detail::Slot::kFree) core.release_slot(i);
   }
-  core.clear_keys();
+  core.keys.clear();
   core.live = 0;
   core.dead = 0;
 }

@@ -4,20 +4,15 @@
 // increasing sequence number breaks ties), which keeps runs deterministic —
 // a property every experiment in the reproduction depends on.
 //
-// The queue is a pluggable scheduler: entries live in a slab of reusable
-// slots (generation-counted, so handles stay O(1) and allocation-free) and
-// a backend orders the (time, seq, slot) keys.  Two backends exist:
-//
-//   * heap     — binary heap, the reference implementation;
-//   * calendar — Brown-'88-style calendar queue with auto-resizing buckets,
-//                O(1) amortized enqueue/dequeue at 10^6 pending events.
-//
-// Both produce bit-identical pop order ((time, seq) ascending), verified by
-// a differential fuzz test; QIP_SCHED=heap|calendar selects one process-wide
-// (calendar is the default).  Cancellation is O(1): the slot is tombstoned,
-// its callable destroyed *eagerly* — a cancelled retransmit timer must not
-// keep its captures alive while the tombstone is still buried — and the key
-// is dropped lazily when it surfaces at the backend's minimum.
+// Entries live in a slab of reusable slots (generation-counted, so handles
+// stay O(1) and allocation-free) and a Brown-'88-style calendar queue with
+// auto-resizing buckets orders the (time, seq, slot) keys: O(1) amortized
+// enqueue/dequeue at 10^6 pending events.  Pop order is exactly (time, seq)
+// ascending; tests/sim_test.cpp checks it against a sorted reference queue
+// under a seeded schedule/cancel/pop fuzz.  Cancellation is O(1): the slot
+// is tombstoned, its callable destroyed *eagerly* — a cancelled retransmit
+// timer must not keep its captures alive while the tombstone is still
+// buried — and the key is dropped lazily when it surfaces at the minimum.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +26,6 @@ namespace qip {
 
 /// Simulation clock, in seconds.
 using SimTime = double;
-
-/// Scheduler backend flavor.  Resolved once per queue at construction.
-enum class SchedulerKind { kHeap, kCalendar };
-
-/// Reads QIP_SCHED (unset → calendar).  A malformed value is a hard error
-/// (stderr + exit 2), matching the harness's strict env parsing: silently
-/// running the wrong backend would invalidate a benchmark without a trace.
-SchedulerKind scheduler_kind_from_env();
 
 namespace detail {
 struct EventQueueCore;
@@ -72,13 +59,10 @@ class EventHandle {
 
 class EventQueue {
  public:
-  /// A queue on the given backend; the default consults QIP_SCHED.
-  explicit EventQueue(SchedulerKind kind = scheduler_kind_from_env());
+  EventQueue();
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  SchedulerKind backend() const;
 
   /// Schedules `fn` at absolute time `at` (must be finite).
   EventHandle schedule(SimTime at, EventFn fn);
@@ -91,13 +75,13 @@ class EventQueue {
   /// Exact: true iff no live (uncancelled) event remains.
   bool empty() const { return live_size() == 0; }
 
-  /// Upper bound on live events (cancelled entries buried in a backend are
-  /// counted until they surface).
+  /// Upper bound on live events (cancelled entries buried in the calendar
+  /// are counted until they surface).
   std::size_t size() const;
 
   /// Exact number of live (scheduled, uncancelled, unfired) events.  The
   /// count is maintained on schedule/cancel/pop, so — unlike size() — it
-  /// never includes tombstoned entries still buried in a backend.
+  /// never includes tombstoned entries still buried in the calendar.
   std::size_t live_size() const;
 
   /// Time of the earliest live event; queue must be non-empty.

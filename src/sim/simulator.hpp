@@ -28,11 +28,9 @@ class Simulator {
   void set_context(SimContext* ctx) { ctx_ = ctx; }
 
   SimTime now() const { return now_; }
-  /// Scheduler backend this simulator's queue runs on (QIP_SCHED).
-  SchedulerKind scheduler() const { return queue_.backend(); }
   std::uint64_t events_executed() const { return executed_; }
   bool idle() const { return queue_.empty(); }
-  /// Upper bound: includes cancelled entries still buried in the heap.
+  /// Upper bound: includes cancelled entries still buried in the queue.
   std::size_t pending_events() const { return queue_.size(); }
   /// Exact count of live scheduled events (see EventQueue::live_size).
   std::size_t live_events() const { return queue_.live_size(); }

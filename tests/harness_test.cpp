@@ -281,5 +281,43 @@ TEST_F(AuditorFixture, ConflictQuietForAFullGraceIsResolved) {
   EXPECT_THROW(auditor.check_now(), InvariantViolation);
 }
 
+// QIP_AUDIT_TRACE is a strict switch read once per auditor: "0" and "off"
+// mean off, so a duplicate that outlives the grace window stays fatal.
+TEST_F(AuditorFixture, TraceSwitchOffKeepsDuplicatesFatal) {
+  for (const char* off : {"0", "off", "false"}) {
+    setenv("QIP_AUDIT_TRACE", off, 1);
+    Simulator local_sim;
+    UniquenessAuditor quiet{local_sim, topo, proto, /*period=*/1e9,
+                            /*grace=*/10.0};
+    proto.addresses = {{1, kAddr}, {2, kAddr}};
+    quiet.check_now();
+    local_sim.run(11.0);
+    EXPECT_THROW(quiet.check_now(), InvariantViolation) << "value " << off;
+  }
+  unsetenv("QIP_AUDIT_TRACE");
+}
+
+TEST_F(AuditorFixture, TraceSwitchOnReportsAndContinues) {
+  setenv("QIP_AUDIT_TRACE", "1", 1);
+  UniquenessAuditor traced{sim, topo, proto, /*period=*/1e9, /*grace=*/10.0};
+  unsetenv("QIP_AUDIT_TRACE");
+  proto.addresses = {{1, kAddr}, {2, kAddr}};
+  traced.check_now();
+  sim.run(11.0);
+  EXPECT_NO_THROW(traced.check_now());
+}
+
+using AuditorFixtureDeathTest = AuditorFixture;
+
+TEST_F(AuditorFixtureDeathTest, MalformedTraceSwitchExitsTwo) {
+  for (const char* bad : {"yes", "", "2"}) {
+    setenv("QIP_AUDIT_TRACE", bad, 1);
+    EXPECT_EXIT(
+        (UniquenessAuditor{sim, topo, proto, /*period=*/1e9, /*grace=*/10.0}),
+        ::testing::ExitedWithCode(2), "invalid QIP_AUDIT_TRACE");
+  }
+  unsetenv("QIP_AUDIT_TRACE");
+}
+
 }  // namespace
 }  // namespace qip

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "geom/point.hpp"
 #include "net/metrics.hpp"
@@ -109,11 +112,6 @@ TEST(Topology, CoincidentAndAdjacentNodes) {
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0], (std::pair<NodeId, std::uint32_t>{1, 1}));
   EXPECT_EQ(hops[1], (std::pair<NodeId, std::uint32_t>{2, 1}));
-  // The uncached path agrees.
-  topo.set_cache_enabled(false);
-  EXPECT_EQ(topo.hop_distance(0, 1), 1u);
-  EXPECT_EQ(topo.hop_distance(0, 2), 1u);
-  EXPECT_EQ(topo.neighbors(0), (std::vector<NodeId>{1, 2}));
 }
 
 TEST(Topology, EpochAdvancesWithMutations) {
@@ -129,7 +127,6 @@ TEST(Topology, CacheReactsToMutations) {
   // The memoized answers must track every kind of mutation, including ones
   // interleaved with queries (lazy rebuild, per-node invalidation).
   auto topo = chain_topology();
-  ASSERT_TRUE(topo.cache_enabled());
   EXPECT_EQ(topo.components().size(), 1u);
   EXPECT_EQ(topo.neighbors(0), (std::vector<NodeId>{1}));
   topo.move_node(4, {0.0, 100.0});  // now adjacent to 0 (and still to 3? no)
@@ -151,6 +148,7 @@ TEST(Topology, CacheReactsToMutations) {
 // ---------------------------------------------------------------------------
 
 using OracleMap = std::map<NodeId, Point>;
+using HopList = std::vector<std::pair<NodeId, std::uint32_t>>;
 
 std::vector<NodeId> oracle_neighbors(const OracleMap& pts, NodeId id,
                                      double range) {
@@ -184,44 +182,54 @@ std::vector<std::vector<NodeId>> oracle_components(const OracleMap& pts,
   return out;
 }
 
-std::vector<std::pair<NodeId, std::uint32_t>> oracle_k_hop(
-    const OracleMap& pts, NodeId id, std::uint32_t k, double range) {
-  std::map<NodeId, std::uint32_t> dist{{id, 0}};
-  std::vector<NodeId> frontier{id};
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const std::uint32_t d = dist.at(u);
-    if (d == k) continue;
+/// Sorted-neighbour BFS from `from`, at most `max_depth` hops deep: every
+/// reached node with its hop count in discovery order, `from` first at hop
+/// 0.  Topology's BFS queries must reproduce this order exactly, because
+/// protocol tie-breaks observe it.
+HopList oracle_bfs(const OracleMap& pts, NodeId from, double range,
+                   std::uint32_t max_depth = TopologyCache::kUnreached) {
+  HopList order{{from, 0}};
+  std::set<NodeId> seen{from};
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto [u, d] = order[head];
+    if (d == max_depth) continue;
     for (NodeId v : oracle_neighbors(pts, u, range)) {
-      if (dist.emplace(v, d + 1).second) frontier.push_back(v);
+      if (seen.insert(v).second) order.emplace_back(v, d + 1);
     }
   }
-  std::vector<std::pair<NodeId, std::uint32_t>> out;
-  for (const auto& [n, d] : dist) {
-    if (d > 0) out.emplace_back(n, d);
-  }
-  return out;  // map order == sorted by id, matching k_hop_neighbors
+  return order;
+}
+
+HopList oracle_k_hop(const OracleMap& pts, NodeId id, std::uint32_t k,
+                     double range) {
+  HopList out = oracle_bfs(pts, id, range, k);
+  out.erase(out.begin());  // k_hop_neighbors excludes `id` itself
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+HopList topo_bfs(const Topology& topo, NodeId from) {
+  HopList order;
+  topo.for_each_reachable(
+      from, [&](NodeId n, std::uint32_t d) { order.emplace_back(n, d); });
+  return order;
 }
 
 TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   // A random-waypoint trace with churn (adds/removes), checked after every
-  // movement step against an O(n^2) oracle AND against a cache-disabled
-  // twin — including the hop-distance map's iteration order, which protocol
-  // tie-breaks can observe.
+  // movement step against an O(n^2) oracle — including BFS discovery order
+  // and the hop-distance map's iteration order, which protocol tie-breaks
+  // can observe.
   const double range = 180.0;
   const Rect area{1000.0, 1000.0};
   Rng rng(0xd1ff);
-  Topology cached(area, range);
-  cached.set_cache_enabled(true);
-  Topology plain(area, range);
-  plain.set_cache_enabled(false);
+  Topology topo(area, range);
   OracleMap pts;
   std::map<NodeId, Point> dest;
   NodeId next_id = 0;
 
   const auto add = [&](const Point& p) {
-    cached.add_node(next_id, p);
-    plain.add_node(next_id, p);
+    topo.add_node(next_id, p);
     pts[next_id] = p;
     dest[next_id] = area.sample(rng);
     ++next_id;
@@ -233,8 +241,7 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
     for (auto& [id, p] : pts) {
       if (p == dest[id]) dest[id] = area.sample(rng);
       p = advance(p, dest[id], 20.0);
-      cached.move_node(id, p);
-      plain.move_node(id, p);
+      topo.move_node(id, p);
     }
     // Churn: occasional arrival or abrupt departure.
     if (rng.chance(0.2)) {
@@ -243,23 +250,20 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
       auto victim = std::next(pts.begin(),
                               static_cast<std::ptrdiff_t>(
                                   rng.index(pts.size())));
-      cached.remove_node(victim->first);
-      plain.remove_node(victim->first);
+      topo.remove_node(victim->first);
       dest.erase(victim->first);
       pts.erase(victim);
     }
 
     // Every node's adjacency, every step.
     for (const auto& [id, p] : pts) {
-      ASSERT_EQ(cached.neighbors(id), oracle_neighbors(pts, id, range))
+      ASSERT_EQ(topo.neighbors_view(id), oracle_neighbors(pts, id, range))
           << "step " << step << " node " << id;
-      ASSERT_EQ(cached.neighbors_view(id), plain.neighbors_view(id));
     }
     // The components partition, every step.
-    ASSERT_EQ(cached.components(), oracle_components(pts, range))
+    ASSERT_EQ(topo.components_view(), oracle_components(pts, range))
         << "step " << step;
-    ASSERT_EQ(cached.components_view(), plain.components_view());
-    // Sampled k-hop sets, hop distances, and the map's emplace order.
+    // Sampled BFS queries against one oracle BFS per probe.
     for (int probe = 0; probe < 3; ++probe) {
       const NodeId a =
           std::next(pts.begin(),
@@ -270,69 +274,60 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
                     static_cast<std::ptrdiff_t>(rng.index(pts.size())))
               ->first;
       const auto k = static_cast<std::uint32_t>(1 + rng.index(3));
-      ASSERT_EQ(cached.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
+      ASSERT_EQ(topo.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
           << "step " << step << " node " << a << " k " << k;
-      ASSERT_EQ(cached.hop_distance(a, b), plain.hop_distance(a, b));
-      ASSERT_EQ(cached.component_of(a), plain.component_of(a));
-      ASSERT_EQ(cached.eccentricity(a), plain.eccentricity(a));
-      const auto dc = cached.hop_distances_from(a);
-      const auto dp = plain.hop_distances_from(a);
-      // Not just equal as sets: byte-identical iteration order.
-      std::vector<std::pair<NodeId, std::uint32_t>> seq_c(dc.begin(),
-                                                          dc.end());
-      std::vector<std::pair<NodeId, std::uint32_t>> seq_p(dp.begin(),
-                                                          dp.end());
-      ASSERT_EQ(seq_c, seq_p) << "iteration order diverged at step " << step;
+      const HopList order = oracle_bfs(pts, a, range);
+      ASSERT_EQ(topo_bfs(topo, a), order)
+          << "BFS discovery order diverged at step " << step;
+      HopList within;
+      topo.for_each_within(
+          a, k, [&](NodeId n, std::uint32_t d) { within.emplace_back(n, d); });
+      ASSERT_EQ(within, oracle_bfs(pts, a, range, k));
+
+      std::optional<std::uint32_t> a_to_b;
+      std::vector<NodeId> component;
+      // Built by emplacing in oracle discovery order: the same insertion
+      // sequence gives the same iteration order.
+      std::unordered_map<NodeId, std::uint32_t> dist;
+      for (const auto& [n, d] : order) {
+        if (n == b) a_to_b = d;
+        component.push_back(n);
+        dist.emplace(n, d);
+      }
+      std::sort(component.begin(), component.end());
+      ASSERT_EQ(topo.hop_distance(a, b), a_to_b);
+      ASSERT_EQ(topo.component_of(a), component);
+      ASSERT_EQ(topo.eccentricity(a), order.back().second);
+      const auto got = topo.hop_distances_from(a);
+      // Not just equal as sets: identical iteration order.
+      ASSERT_EQ(HopList(got.begin(), got.end()), HopList(dist.begin(), dist.end()))
+          << "iteration order diverged at step " << step;
     }
   }
 }
 
-// A typo'd QIP_TOPO_INCR must not silently pick a code path: the escape
-// hatch is parsed strictly (src/harness/env.hpp), so "offf" is a hard
-// exit 2, not a fallback to either mode.
-TEST(TopologyEnvDeathTest, MalformedIncrSwitchExitsTwo) {
-  setenv("QIP_TOPO_INCR", "offf", 1);
-  EXPECT_EXIT(Topology(Rect{100.0, 100.0}, 30.0),
-              ::testing::ExitedWithCode(2), "invalid QIP_TOPO_INCR");
-  setenv("QIP_TOPO_INCR", "2", 1);
-  EXPECT_EXIT(Topology(Rect{100.0, 100.0}, 30.0),
-              ::testing::ExitedWithCode(2), "invalid QIP_TOPO_INCR");
-  // The documented spellings parse.
-  setenv("QIP_TOPO_INCR", "off", 1);
-  { Topology t(Rect{100.0, 100.0}, 30.0); }
-  setenv("QIP_TOPO_INCR", "on", 1);
-  { Topology t(Rect{100.0, 100.0}, 30.0); }
-  unsetenv("QIP_TOPO_INCR");
-}
-
 TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
   // 10k churn steps (adds, removes — including burst departures that sever
-  // paths through the removed nodes — and moves) against the O(n^2) oracle
-  // and against a QIP_TOPO_INCR=off twin that full-rebuilds every epoch.
+  // paths through the removed nodes — and moves) against the O(n^2) oracle.
   // Components are compared exactly every step; k-hop sets and BFS
   // discovery order are sampled.  This is the long-haul guard for the
   // incremental CSR patch + components repair (docs/SCALE.md).
   const double range = 180.0;
   const Rect area{1000.0, 1000.0};
   Rng rng(0x10c4);
-  Topology incr(area, range);
-  incr.set_incremental_enabled(true);
-  Topology full(area, range);
-  full.set_incremental_enabled(false);
+  Topology topo(area, range);
   OracleMap pts;
   std::map<NodeId, Point> dest;
   NodeId next_id = 0;
 
   const auto add = [&](const Point& p) {
-    incr.add_node(next_id, p);
-    full.add_node(next_id, p);
+    topo.add_node(next_id, p);
     pts[next_id] = p;
     dest[next_id] = area.sample(rng);
     ++next_id;
   };
   const auto remove = [&](NodeId id) {
-    incr.remove_node(id);
-    full.remove_node(id);
+    topo.remove_node(id);
     dest.erase(id);
     pts.erase(id);
   };
@@ -347,8 +342,7 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
     for (auto& [id, p] : pts) {
       if (p == dest[id]) dest[id] = area.sample(rng);
       p = advance(p, dest[id], 20.0);
-      incr.move_node(id, p);
-      full.move_node(id, p);
+      topo.move_node(id, p);
     }
     if (rng.chance(0.15)) add(area.sample(rng));
     if (rng.chance(0.15) && pts.size() > 16) remove(random_id());
@@ -360,32 +354,24 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
     }
 
     // Exact components vs the oracle, every step.
-    ASSERT_EQ(incr.components(), oracle_components(pts, range))
-        << "step " << step;
-    ASSERT_EQ(incr.components_view(), full.components_view())
+    ASSERT_EQ(topo.components_view(), oracle_components(pts, range))
         << "step " << step;
 
     // Sampled adjacency, k-hop sets, and BFS discovery order.
     const NodeId a = random_id();
-    ASSERT_EQ(incr.neighbors(a), oracle_neighbors(pts, a, range))
+    ASSERT_EQ(topo.neighbors(a), oracle_neighbors(pts, a, range))
         << "step " << step << " node " << a;
     const auto k = static_cast<std::uint32_t>(1 + rng.index(3));
-    ASSERT_EQ(incr.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
+    ASSERT_EQ(topo.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
         << "step " << step << " node " << a << " k " << k;
-    std::vector<std::pair<NodeId, std::uint32_t>> order_incr, order_full;
-    incr.for_each_reachable(
-        a, [&](NodeId n, std::uint32_t d) { order_incr.emplace_back(n, d); });
-    full.for_each_reachable(
-        a, [&](NodeId n, std::uint32_t d) { order_full.emplace_back(n, d); });
-    ASSERT_EQ(order_incr, order_full)
+    ASSERT_EQ(topo_bfs(topo, a), oracle_bfs(pts, a, range))
         << "BFS discovery order diverged at step " << step;
   }
 
   // The incremental path must actually have been exercised: patches should
   // dwarf full rebuilds over 10k steps.
-  EXPECT_GT(incr.csr_incremental_patches(), incr.csr_full_rebuilds());
-  EXPECT_GT(incr.component_repairs(), 0u);
-  EXPECT_EQ(full.csr_incremental_patches(), 0u);
+  EXPECT_GT(topo.csr_incremental_patches(), topo.csr_full_rebuilds());
+  EXPECT_GT(topo.component_repairs(), 0u);
 }
 
 // ---------------------------------------------------------------------------
