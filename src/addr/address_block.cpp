@@ -154,17 +154,20 @@ AddressBlock AddressBlock::minus(const AddressBlock& other) const {
     // Advance past cuts entirely below r.
     while (cut != other.ranges_.end() && cut->hi < r.lo) ++cut;
     IpAddress lo = r.lo;
+    // Set when a cut reaches r.hi: r.hi.next() would wrap to 0.0.0.0 when
+    // r ends at the top of the space.
+    bool covered = false;
     auto c = cut;
     while (c != other.ranges_.end() && c->lo <= r.hi) {
       if (c->lo > lo) out.ranges_.push_back({lo, c->lo.prev()});
       if (c->hi >= r.hi) {
-        lo = r.hi.next();
+        covered = true;
         break;
       }
       lo = c->hi.next();
       ++c;
     }
-    if (lo <= r.hi) out.ranges_.push_back({lo, r.hi});
+    if (!covered) out.ranges_.push_back({lo, r.hi});
   }
   out.check_invariant();
   return out;

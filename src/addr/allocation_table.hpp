@@ -8,11 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "addr/address_block.hpp"
 #include "addr/ip_address.hpp"
-#include "util/flat_hash.hpp"
 
 namespace qip {
 
@@ -34,16 +33,25 @@ struct AddressRecord {
 };
 
 /// Sparse table: addresses without an entry are implicitly kFree at
-/// timestamp 0 (the initial state of every copy).
+/// timestamp 0 (the initial state of every copy).  An explicit record equal
+/// to that initial value is still an entry: adopt_if_newer treats it as a
+/// copy that has seen the address, which an absent address has not.
 ///
-/// Backed by a flat open-addressing hash (util/flat_hash.hpp): every head
-/// holds one table plus a replica copy per QDSet member, and quorum rounds
-/// probe them on the hot path, so record lookups stay one cache line and
-/// replication copies are a single flat-array clone.  Internal order never
-/// escapes: every order-sensitive consumer goes through known_addresses(),
-/// which sorts (docs/SCALE.md).
+/// Stored as a sorted vector of maximal runs: closed ranges of adjacent
+/// addresses holding equal records.  Reclaiming a head's space writes one
+/// record per address, but neighbours get equal records, so a whole
+/// reclaimed block is one run and every replica copy of it is one element
+/// (docs/SCALE.md).  Point updates split or extend runs in place; merges,
+/// free-pool derivation and quorum reads work on whole runs.
 class AllocationTable {
  public:
+  /// Closed range [lo, hi] of addresses that all hold `record`.
+  struct Run {
+    IpAddress lo;
+    IpAddress hi;
+    AddressRecord record;
+  };
+
   /// Record for `a`, or the implicit initial record.
   AddressRecord get(IpAddress a) const;
 
@@ -51,6 +59,9 @@ class AllocationTable {
   bool allocated(IpAddress a) const {
     return get(a).status == AddressStatus::kAllocated;
   }
+
+  /// Latest timestamp over [lo, hi] (0 where no record exists).
+  std::uint64_t max_timestamp(IpAddress lo, IpAddress hi) const;
 
   /// Commits an allocation: bumps the timestamp past `min_timestamp` (the
   /// freshest value seen in the quorum read) and returns the new record.
@@ -64,24 +75,42 @@ class AllocationTable {
   /// update path).  Returns true if adopted.
   bool adopt_if_newer(IpAddress a, const AddressRecord& record);
 
-  /// Unconditionally installs a record (initial replica seeding).
+  /// Unconditionally installs a record (initial replica seeding), splitting
+  /// and coalescing runs as needed.
   void install(IpAddress a, const AddressRecord& record);
 
   /// Adopts every record of `other` that is newer than ours (replica
-  /// reconciliation).  Returns how many records were adopted.
+  /// reconciliation), in one sweep over both run lists.  Returns how many
+  /// addresses were adopted.
   std::size_t merge_newer(const AllocationTable& other);
 
-  void erase(IpAddress a) { records_.erase(a); }
-  void clear() { records_.clear(); }
+  /// Drops the record for `a` (it becomes implicit again).
+  void erase(IpAddress a);
+  void clear() { runs_.clear(); }
 
-  std::size_t entries() const { return records_.size(); }
+  /// Number of addresses with explicit records.
+  std::size_t entries() const;
   std::uint64_t allocated_count() const;
 
-  /// All addresses with explicit records (test/inspection use).
+  /// Every address whose record is kAllocated.
+  AddressBlock allocated_block() const;
+
+  /// All addresses with explicit records, ascending.  Expands every run, so
+  /// it belongs in tests and cold paths only.
   std::vector<IpAddress> known_addresses() const;
 
+  /// The runs, ascending, disjoint and maximal (no two adjacent runs hold
+  /// equal records).
+  const std::vector<Run>& runs() const { return runs_; }
+
  private:
-  FlatHashMap<IpAddress, AddressRecord> records_;
+  /// Run holding `a`, or nullptr.
+  const Run* find(IpAddress a) const;
+  /// Removes `a` from the run holding it, if any.  Returns the index at
+  /// which a run starting at `a` belongs.
+  std::size_t cut(IpAddress a);
+
+  std::vector<Run> runs_;
 };
 
 }  // namespace qip

@@ -4,6 +4,7 @@
 #include "core/qip_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "fault/adversary.hpp"
@@ -605,11 +606,8 @@ void QipEngine::start_quorum_round(ConfigTxn& txn) {
   if (txn.owner == txn.allocator) {
     // Latest local timestamp over the proposal.
     for (const auto& r : txn.proposed_block.ranges()) {
-      for (std::uint32_t v = r.lo.value();; ++v) {
-        txn.latest_ts =
-            std::max(txn.latest_ts, a.table.get(IpAddress(v)).timestamp);
-        if (v == r.hi.value()) break;
-      }
+      txn.latest_ts =
+          std::max(txn.latest_ts, a.table.max_timestamp(r.lo, r.hi));
     }
   } else {
     txn.latest_ts = a.replicas.at(txn.owner).table.get(txn.proposed).timestamp;
@@ -728,10 +726,7 @@ void QipEngine::handle_quorum_clt(NodeId voter, NodeId allocator,
     vote = Vote::kConflict;
   } else {
     for (const auto& r : proposal.ranges()) {
-      for (std::uint32_t x = r.lo.value();; ++x) {
-        ts = std::max(ts, table->get(IpAddress(x)).timestamp);
-        if (x == r.hi.value()) break;
-      }
+      ts = std::max(ts, table->max_timestamp(r.lo, r.hi));
     }
     if (!free_pool->contains_all(proposal)) {
       vote = Vote::kConflict;
@@ -1303,16 +1298,19 @@ void QipEngine::replicate_update(NodeId source, NodeId owner, Traffic traffic,
   push_snapshot(source, snapshot_space(source, owner), traffic, txn_id);
 }
 
-void QipEngine::push_snapshot(NodeId source, const ReplicaCopy& snapshot,
+void QipEngine::push_snapshot(NodeId source, ReplicaCopy snapshot,
                               Traffic traffic, std::uint64_t txn_id) {
-  const NodeId owner = snapshot.owner;
+  const auto shared =
+      std::make_shared<const ReplicaCopy>(std::move(snapshot));
+  const NodeId owner = shared->owner;
   // Recipients: the owner's replica group as the source knows it.
-  std::set<NodeId> group = snapshot.owner_qdset;
+  std::set<NodeId> group = shared->owner_qdset;
   if (source != owner && alive(owner)) group.insert(owner);
   for (NodeId h : group) {
     if (h == source || !alive(h)) continue;
     send(source, h, QipMsg::kQuorumUpd, traffic, 0,
-         [this, h, snapshot, owner, source, txn_id](std::uint64_t) {
+         [this, h, shared, owner, source, txn_id](std::uint64_t) {
+           const ReplicaCopy& snapshot = *shared;
            if (!alive(h)) return;
            // Hardened: an expelled peer's snapshots are discarded unread.
            if (params_.harden.enabled && is_quarantined(source)) return;

@@ -239,9 +239,10 @@ class QipEngine : public AutoconfProtocol {
   /// Delivers `snapshot` (of snapshot.owner's space) from `source` to the
   /// owner's replica group.  replicate_update = snapshot_space + this; the
   /// split exists so the adversary layer can push a *corrupted* snapshot
-  /// through the same delivery path honest updates use.
-  void push_snapshot(NodeId source, const ReplicaCopy& snapshot,
-                     Traffic traffic, std::uint64_t txn_id = 0);
+  /// through the same delivery path honest updates use.  All recipients,
+  /// and every retransmitted copy, share one immutable snapshot.
+  void push_snapshot(NodeId source, ReplicaCopy snapshot, Traffic traffic,
+                     std::uint64_t txn_id = 0);
   /// Snapshot of `owner`'s space as seen from `source`.
   ReplicaCopy snapshot_space(NodeId source, NodeId owner) const;
   /// Applies an incoming snapshot at `holder`.  `source` is the sender

@@ -26,7 +26,7 @@
 // within its beacon horizon each interval, which is exactly the knowledge
 // detect_squats consumes — reading it from the state map just skips the
 // per-beacon bookkeeping the aggregate hello model already elides.
-#include <algorithm>
+#include <utility>
 
 #include "core/qip_engine.hpp"
 #include "fault/adversary.hpp"
@@ -171,7 +171,7 @@ void QipEngine::perform_poison(NodeId attacker) {
     ++a->stats().poisoned_snapshots;
     // Through the same delivery path honest refreshes use: recipients that
     // believe it re-issue addresses still in use.
-    push_snapshot(attacker, bad, Traffic::kMaintenance);
+    push_snapshot(attacker, std::move(bad), Traffic::kMaintenance);
   }
 }
 
@@ -347,11 +347,7 @@ void QipEngine::harden_round_expired(std::uint64_t txn_id,
 void QipEngine::merge_table_hardened(NodeId owner, NodeId source,
                                      const AllocationTable& incoming) {
   auto& st = node(owner);
-  // Deterministic iteration: known_addresses() of an unordered table must
-  // not dictate event order, so sort first.
-  std::vector<IpAddress> addrs = incoming.known_addresses();
-  std::sort(addrs.begin(), addrs.end());
-  for (IpAddress a : addrs) {
+  for (IpAddress a : incoming.known_addresses()) {
     const AddressRecord theirs = incoming.get(a);
     const AddressRecord ours = st.table.get(a);
     if (theirs.timestamp <= ours.timestamp) continue;

@@ -103,11 +103,7 @@ inline std::ostream& operator<<(std::ostream& os, const NetworkId& id) {
 /// without an allocated record.
 inline AddressBlock derive_free_pool(const AddressBlock& universe,
                                      const AllocationTable& table) {
-  AddressBlock out = universe;
-  for (IpAddress a : table.known_addresses()) {
-    if (table.allocated(a) && out.contains(a)) out.erase(a);
-  }
-  return out;
+  return universe.minus(table.allocated_block());
 }
 
 /// A quorum vote (§II-C implements mutual exclusion: a vote is a permission

@@ -5,7 +5,7 @@
 // deletion), so lookups touch one cache line in the common case and the
 // map performs zero per-node allocations.  Iteration order is the probe
 // order — unspecified, like unordered_map — so callers that expose order
-// must sort (AllocationTable::known_addresses does exactly that).
+// must sort.
 //
 // Requirements: K and V default-constructible and copy/move-assignable,
 // std::hash<K> specialized.  The default-constructed K is a valid key.

@@ -42,7 +42,8 @@
 #     regenerate with
 #     QIP_METRO_NODES=100000 QIP_BENCH_JSON=BENCH_metro.json bench/fig_metro
 #     Wall-clock and RSS numbers are machine-dependent; the gates below check
-#     scale, coverage, and the allocation/topology invariants, not timings.
+#     scale, coverage, the allocation/topology invariants and the departure
+#     phase's peak RSS relative to the drift phase's, not timings.
 if(NOT DEFINED JSON_FILE OR NOT DEFINED KIND)
   message(FATAL_ERROR
       "check_bench_json.cmake needs -DJSON_FILE=... and -DKIND=...")
@@ -276,7 +277,8 @@ elseif(KIND STREQUAL "metro")
         "baseline must be the metropolis run (>= 100000)")
   endif()
   # The four city-day phases, in order, each with the full schema.  Timings
-  # and RSS are machine-dependent and not gated; scale and coverage are.
+  # and absolute RSS are machine-dependent and not gated; scale, coverage
+  # and the departure/drift RSS ratio are.
   string(JSON n_phases ERROR_VARIABLE err LENGTH "${doc}" "phases")
   if(err OR NOT n_phases EQUAL 4)
     message(FATAL_ERROR "${JSON_FILE}: expected 4 phases, got "
@@ -300,6 +302,31 @@ elseif(KIND STREQUAL "metro")
           "expected '${expected}'")
     endif()
   endforeach()
+  # Departures must not blow up memory: the departure phase's peak RSS stays
+  # within 2x the drift phase's.  Reclamation once wrote one table record
+  # per address of a dead head's space into every replica (a 7.3 GiB
+  # departure peak against 312 MiB in drift at n=100k).  RSS is compared
+  # in integer thousandths of a MiB (math(EXPR) has no floats).
+  macro(mib_to_milli out value)
+    if(NOT "${value}" MATCHES "^([0-9]+)(\\.([0-9]*))?$")
+      message(FATAL_ERROR "${JSON_FILE}: peak_rss_mib '${value}' is not a "
+          "plain decimal")
+    endif()
+    set(int_part "${CMAKE_MATCH_1}")
+    string(SUBSTRING "${CMAKE_MATCH_3}000" 0 3 frac_part)
+    # "1${frac_part} - 1000" keeps a leading zero from reading as octal.
+    math(EXPR ${out} "${int_part} * 1000 + 1${frac_part} - 1000")
+  endmacro()
+  string(JSON drift_rss GET "${doc}" "phases" 1 "peak_rss_mib")
+  string(JSON departure_rss GET "${doc}" "phases" 2 "peak_rss_mib")
+  mib_to_milli(drift_milli "${drift_rss}")
+  mib_to_milli(departure_milli "${departure_rss}")
+  math(EXPR departure_budget "${drift_milli} * 2")
+  if(departure_milli GREATER departure_budget)
+    message(FATAL_ERROR "${JSON_FILE}: departure peak_rss_mib "
+        "${departure_rss} > 2 x drift peak_rss_mib ${drift_rss} — the "
+        "departure memory spike is back")
+  endif()
   # The flash crowd must actually form a network: >= 95% configured.
   string(JSON crowd_configured GET "${doc}" "phases" 0 "configured")
   math(EXPR threshold "${nodes} * 95 / 100")
