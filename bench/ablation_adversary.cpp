@@ -12,13 +12,13 @@
 //   * overhead: protocol hops during the attack phase (hellos excluded);
 //   * response: quarantines issued and the attack actions that landed.
 //
-// Arms are selected with QIP_HARDEN=on|off (default: both).  Rounds come
-// from QIP_ROUNDS; QIP_BENCH_JSON=<path> additionally writes the full cell
-// grid as JSON (BENCH_adversary.json at the repo root is the committed
-// baseline, validated by the bench_json ctest).
+// Arms are selected with QIP_HARDEN=on|off (or 1/0, true/false; default:
+// both; any other value exits 2).  Rounds come from QIP_ROUNDS;
+// QIP_BENCH_JSON=<path> additionally writes the full cell grid as JSON
+// (BENCH_adversary.json at the repo root is the committed baseline,
+// validated by the bench_json ctest).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +31,7 @@
 #include "net/failure_detector.hpp"
 #include "sim/sim_context.hpp"
 #include "util/assert.hpp"
+#include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -148,8 +149,8 @@ int main(int argc, char** argv) {
   bool run_hardened = true;
   bool run_unhardened = true;
   if (const char* env = std::getenv("QIP_HARDEN")) {
-    if (std::strcmp(env, "on") == 0) run_unhardened = false;
-    if (std::strcmp(env, "off") == 0) run_hardened = false;
+    run_hardened = parse_bool("QIP_HARDEN", env);
+    run_unhardened = !run_hardened;
   }
 
   // The fraction-0 squat row is the honest baseline (no attackers are ever

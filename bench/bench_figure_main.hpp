@@ -18,10 +18,10 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "harness/env.hpp"
 #include "harness/figures.hpp"
 #include "harness/parallel.hpp"
 #include "quorum/quorum_policy.hpp"
+#include "util/env.hpp"
 
 namespace qip::benchmain {
 

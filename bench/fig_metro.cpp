@@ -32,10 +32,10 @@
 #include <vector>
 
 #include "core/qip_engine.hpp"
-#include "harness/env.hpp"
 #include "harness/world.hpp"
 #include "net/node_id.hpp"
 #include "sim/arena.hpp"
+#include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"

@@ -1,7 +1,6 @@
 #include "baselines/buddy.hpp"
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 

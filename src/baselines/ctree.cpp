@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 

@@ -13,7 +13,7 @@
 //                            needs (no racy external kill)
 //
 // The plan is parsed strictly: any malformed term is a usage error (exit 2),
-// matching the repo-wide env convention in harness/env.hpp.  Injection is a
+// matching the repo-wide env convention in util/env.hpp.  Injection is a
 // test hook, not a user feature; it exists so the retry, watchdog and resume
 // paths are pinned by deterministic gates rather than trusted on faith.
 #pragma once

@@ -16,7 +16,7 @@
 #include <sstream>
 #include <thread>
 
-#include "harness/env.hpp"
+#include "util/env.hpp"
 
 namespace qip {
 

@@ -46,7 +46,7 @@ struct CampaignOptions {
 
 /// Overlays QIP_CAMPAIGN_JOBS / QIP_CAMPAIGN_RETRIES /
 /// QIP_CAMPAIGN_DEADLINE_MS / QIP_CAMPAIGN_BACKOFF_MS on `defaults` with the
-/// strict env convention (harness/env.hpp): unset keeps the default,
+/// strict env convention (util/env.hpp): unset keeps the default,
 /// malformed exits 2.  JOBS must be positive; the others may be zero.
 CampaignOptions campaign_options_from_env(CampaignOptions defaults = {});
 

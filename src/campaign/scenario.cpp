@@ -96,7 +96,7 @@ void digest_double(std::uint64_t& h, double v) {
 }  // namespace
 
 CellRunner::CellRunner(const CellSpec& spec) : spec_(spec) {
-  ctx_ = std::make_unique<SimContext>(spec.seed);
+  ctx_ = std::make_unique<SimContext>();
   WorldParams wp;
   wp.transmission_range = spec.range;
   wp.speed = spec.speed;
@@ -145,7 +145,6 @@ std::uint64_t CellRunner::state_digest() const {
   digest_u64(h, world_->sim().events_executed());
   digest_u64(h, world_->sim().live_events());
   for (std::uint64_t w : world_->rng().state()) digest_u64(h, w);
-  for (std::uint64_t w : ctx_->rng().state()) digest_u64(h, w);
   const MessageStats& stats = world_->stats();
   for (std::size_t t = 0; t < static_cast<std::size_t>(Traffic::kCount); ++t) {
     digest_u64(h, stats.of(static_cast<Traffic>(t)).messages);

@@ -8,7 +8,7 @@
 // and a restore can re-materialize the exact state there deterministically.
 //
 // state_digest() folds every piece of observable simulation state — sim
-// clock, event counts, both RNG streams, message accounting, per-node
+// clock, event counts, the world's RNG stream, message accounting, per-node
 // configuration records, node positions — into one 64-bit value.  Two runs
 // of the same spec agree on the digest at every phase boundary iff they are
 // byte-identical; the snapshot layer and the campaign journal both pin it.
@@ -44,14 +44,13 @@ struct CellResult {
 
 class CellRunner {
  public:
-  /// Builds the world and engine for `spec` on a fresh SimContext seeded
-  /// with the cell seed.  Throws std::invalid_argument on an unknown
+  /// Builds the world (seeded with the cell seed) and engine for `spec` on
+  /// a fresh SimContext.  Throws std::invalid_argument on an unknown
   /// protocol name.
   explicit CellRunner(const CellSpec& spec);
   ~CellRunner();
 
   const CellSpec& spec() const { return spec_; }
-  SimContext& ctx() { return *ctx_; }
   World& world() { return *world_; }
 
   /// Phase layout: [0] bringup (join all + settle), [1..churn] one

@@ -74,7 +74,6 @@ bool save_snapshot(CellRunner& runner, const std::string& path,
                 static_cast<std::uint64_t>(runner.world().sim().live_events()));
   out += buf;
   append_rng(out, "world_rng", runner.world().rng().state());
-  append_rng(out, "ctx_rng", runner.ctx().rng().state());
   std::snprintf(buf, sizeof(buf), "digest %016" PRIx64 "\n",
                 runner.state_digest());
   out += buf;
@@ -143,9 +142,6 @@ std::optional<Snapshot> load_snapshot(const std::string& path,
   if (!std::getline(f, line) || !parse_rng(line, "world_rng", &s.world_rng)) {
     return bad("malformed world_rng");
   }
-  if (!std::getline(f, line) || !parse_rng(line, "ctx_rng", &s.ctx_rng)) {
-    return bad("malformed ctx_rng");
-  }
   if (!read_u64("digest", &s.digest, 16)) return bad("malformed digest");
   if (!std::getline(f, line) || line != "end") {
     return bad("truncated (no end marker)");
@@ -160,8 +156,8 @@ std::unique_ptr<CellRunner> restore_snapshot(const Snapshot& snap,
     fail(err, "snapshot phase out of range for this spec");
     return nullptr;
   }
-  // Deterministic replay to the phase boundary (see file comment: v1 cannot
-  // decode event-queue closures, so it re-derives them).
+  // Deterministic replay to the phase boundary (see file comment: closures
+  // in the event queue cannot be decoded, so replay re-derives them).
   while (runner->phases_run() < snap.phase) runner->run_phase();
 
   // Exact-state verification: every saved field must match the replayed
@@ -183,17 +179,13 @@ std::unique_ptr<CellRunner> restore_snapshot(const Snapshot& snap,
   if (runner->world().rng().state() != snap.world_rng) {
     return mismatch("world RNG stream");
   }
-  if (runner->ctx().rng().state() != snap.ctx_rng) {
-    return mismatch("context RNG stream");
-  }
   if (runner->state_digest() != snap.digest) {
     return mismatch("state digest");
   }
-  // Belt and braces: install the saved streams explicitly, so continuation
+  // Belt and braces: install the saved stream explicitly, so continuation
   // consumes exactly the recorded state regardless of how verification
   // evolves in later format versions.
   runner->world().rng().set_state(snap.world_rng);
-  runner->ctx().rng().set_state(snap.ctx_rng);
   return runner;
 }
 

@@ -5,25 +5,24 @@
 //   * the full cell spec (scenario, parameters, seed),
 //   * the phase boundary it was taken at,
 //   * the simulation clock, executed-event count and live-event count,
-//   * the raw xoshiro256** state of both RNG streams (the world's and the
-//     context's), and
+//   * the raw xoshiro256** state of the world's RNG stream, and
 //   * the state_digest() over every piece of observable simulation state.
 //
-// Restore strategy (v1): the event queue holds arbitrary closures, which no
+// Restore strategy: the event queue holds arbitrary closures, which no
 // byte format can capture, so restore re-materializes the state by
 // *deterministic replay* — rebuild the cell from its spec and re-run phases
 // 0..k-1 — then verifies, field by field, that the replayed clock, event
-// counts, RNG streams and state digest equal the saved ones (the RNG
-// streams are additionally restored via Rng::set_state, making the restore
-// independent of how the replay reached them).  Any mismatch is a hard
+// counts, RNG stream and state digest equal the saved ones (the RNG stream
+// is additionally restored via Rng::set_state, making the restore
+// independent of how the replay reached it).  Any mismatch is a hard
 // error: a snapshot never silently resumes into a different simulation.
 // Continuing a restored runner is therefore byte-identical to never having
 // stopped — the property tests/campaign_test.cpp pins for QIP and a
 // baseline engine.
 //
-// The versioned header is the forward path: a future v2 can add direct
-// state decoding (no replay) without breaking v1 readers, which must reject
-// versions they do not understand.
+// The versioned header is the forward path: a future version can add direct
+// state decoding (no replay), and readers reject every version but their
+// own.
 #pragma once
 
 #include <array>
@@ -37,7 +36,7 @@
 namespace qip {
 
 inline constexpr char kSnapshotMagic[] = "QIPSNAP";
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 struct Snapshot {
   CellSpec spec;
@@ -46,7 +45,6 @@ struct Snapshot {
   std::uint64_t executed = 0;
   std::uint64_t live = 0;
   std::array<std::uint64_t, 4> world_rng{};
-  std::array<std::uint64_t, 4> ctx_rng{};
   std::uint64_t digest = 0;
 };
 

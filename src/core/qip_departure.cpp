@@ -4,8 +4,6 @@
 
 #include <limits>
 
-#include "util/logging.hpp"
-
 namespace qip {
 
 void QipEngine::node_departing(NodeId id) {
@@ -62,11 +60,7 @@ void QipEngine::depart_common(NodeId id) {
   // RETURN_ADDR (configurer, IP) to the nearest cluster head; the address is
   // then routed back to its allocator or a QDSet member of the allocator.
   auto nearest = clusters_.nearest_head(id);
-  if (!nearest || !alive(*nearest)) {
-    QIP_DEBUG << "node " << id << " leaves with no reachable head; " << addr
-              << " leaks until reclamation";
-    return;
-  }
+  if (!nearest || !alive(*nearest)) return;  // leaks until reclamation
   const NodeId d = *nearest;
   send(id, d, QipMsg::kReturnAddr, Traffic::kDeparture, 0,
        [this, d, id, configurer, addr](std::uint64_t h) {
@@ -115,7 +109,8 @@ void QipEngine::handle_return_addr(NodeId receiver, NodeId leaver,
     return;
   }
 
-  // Case 3: forward toward the reported configurer.
+  // Case 3: forward toward the reported configurer.  An address that cannot
+  // be routed leaks until reclamation.
   if (ttl > 0 && configurer != receiver && alive(configurer) &&
       is_head(configurer)) {
     send(receiver, configurer, QipMsg::kReturnAddr, Traffic::kDeparture, hops,
@@ -124,11 +119,7 @@ void QipEngine::handle_return_addr(NodeId receiver, NodeId leaver,
                               ttl - 1);
          },
          addr.to_string());
-    return;
   }
-
-  QIP_DEBUG << "address " << addr << " returned by " << leaver
-            << " could not be routed; leaks until reclamation";
 }
 
 void QipEngine::free_owned_address(NodeId owner, IpAddress addr,

@@ -10,7 +10,6 @@
 #include "fault/adversary.hpp"
 #include "sim/sim_context.hpp"
 #include "quorum/dynamic_linear.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 
@@ -332,8 +331,6 @@ void QipEngine::become_first_head(NodeId id) {
         {{"first", std::uint32_t{1}},
          {"universe", static_cast<std::uint64_t>(st.owned_universe.size())}});
   }
-  QIP_DEBUG << "node " << id << " bootstrapped as first head with "
-            << st.owned_universe.size() << " addresses";
 }
 
 // ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ class QipEngine : public AutoconfProtocol {
   void detect_squats(NodeId head);
   /// Sends kAddrChallenge to `claimant`; no kChallengeAck within
   /// challenge_timeout quarantines it.
-  void challenge_claim(NodeId head, NodeId claimant, IpAddress addr);
+  void challenge_claim(NodeId head, NodeId claimant);
   /// Tallies one suspicion point at `accuser` against `peer`; crossing
   /// HardenParams::suspicion_threshold quarantines the peer.
   void add_suspicion(NodeId accuser, NodeId peer, const char* why);
@@ -311,8 +311,7 @@ class QipEngine : public AutoconfProtocol {
 
   // ---- partition & merge (qip_partition.cpp) ------------------------------
   void merge_scan();
-  void absorb_network(NodeId detector, NetworkId winner_id,
-                      NetworkId loser_id);
+  void absorb_network(NodeId detector, NetworkId loser_id);
   /// Reconciles two reconnected partitions of the same pool (same epoch
   /// nonce): duplicate addresses resolve by freshest record, losing holders
   /// reconfigure, head universes stay in the pool.

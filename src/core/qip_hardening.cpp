@@ -32,7 +32,6 @@
 #include "fault/adversary.hpp"
 #include "net/failure_detector.hpp"
 #include "sim/sim_context.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 
@@ -135,8 +134,6 @@ bool QipEngine::perform_squat(NodeId attacker) {
     st.bootstrap_timer.cancel();
   }
   ++adversary_ctl()->stats().squats;
-  QIP_DEBUG << "adversary: node " << attacker << " squats " << *stolen
-            << " held by node " << victim;
   if (ctx().tracing_on()) {
     ctx().recorder().instant(sim().now(), "squat", "adversary", attacker,
                              {{"victim", victim}});
@@ -215,15 +212,13 @@ void QipEngine::detect_squats(NodeId head) {
     // for the address — then two live nodes claim it and one is lying.
     if (!alive(holder) || !node(holder).ip || !(*node(holder).ip == addr))
       return;
-    challenge_claim(head, id, addr);
+    challenge_claim(head, id);
   });
 }
 
-void QipEngine::challenge_claim(NodeId head, NodeId claimant, IpAddress addr) {
+void QipEngine::challenge_claim(NodeId head, NodeId claimant) {
   auto& st = node(head);
   if (st.challenge_timers.count(claimant)) return;  // one in flight per peer
-  QIP_DEBUG << "head " << head << " challenges node " << claimant
-            << "'s claim to " << addr;
 
   const bool sent = send(
       head, claimant, QipMsg::kAddrChallenge, Traffic::kMaintenance, 0,
@@ -271,9 +266,6 @@ void QipEngine::add_suspicion(NodeId accuser, NodeId peer, const char* why) {
   if (!alive(accuser) || peer == kNoNode || is_quarantined(peer)) return;
   auto& st = node(accuser);
   const std::uint32_t points = ++st.suspicion[peer];
-  QIP_DEBUG << "suspicion: node " << accuser << " vs node " << peer << " ("
-            << why << "), " << points << "/"
-            << params_.harden.suspicion_threshold;
   if (points >= params_.harden.suspicion_threshold)
     quarantine(accuser, peer, why);
 }
@@ -284,8 +276,6 @@ void QipEngine::quarantine(NodeId accuser, NodeId culprit, const char* why) {
 
   quarantined_.insert(culprit);
   ++quarantines_;
-  QIP_DEBUG << "quarantine: node " << accuser << " expels node " << culprit
-            << " (" << why << ")";
   if (ctx().tracing_on()) {
     ctx().recorder().instant(sim().now(), "quarantine", "adversary", accuser,
                              {{"culprit", culprit}, {"why", why}});
@@ -332,8 +322,6 @@ void QipEngine::harden_round_expired(std::uint64_t txn_id,
     add_suspicion(txn.allocator, v, "vote_silence");
   }
 
-  QIP_DEBUG << "hardened round deadline: txn " << txn_id << " round " << round
-            << " closed with " << txn.outstanding << " votes outstanding";
   txn.outstanding = 0;
   // Retry through the ordinary failure path: conflict if any veto arrived,
   // else the busy/backoff route (bounded by max_busy_retries).

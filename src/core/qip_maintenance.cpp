@@ -7,7 +7,6 @@
 #include "fault/adversary.hpp"
 #include "net/failure_detector.hpp"
 #include "sim/sim_context.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 
@@ -264,15 +263,12 @@ void QipEngine::shrink_quorum(NodeId head, NodeId missing) {
   const bool quorate =
       policy().satisfied(group, reachable, distinguished_reachable);
   if (!quorate) {
-    QIP_DEBUG << "head " << head << " cannot shrink quorum around " << missing
-              << ": only " << reachable << "/" << group << " reachable";
     return;  // re-suspected on the next hello scan if still unreachable
   }
 
   // Exclude the unresponsive head from the quorum set; its replica is kept
   // so a later reclamation can restore the space.
   st.qdset.erase(missing);
-  QIP_DEBUG << "head " << head << " shrinks quorum, excluding " << missing;
 
   // Verify its existence with REP_REQ; no reply within T_r starts address
   // reclamation for it.  An expelled (quarantined) member is not probed at
@@ -374,8 +370,6 @@ void QipEngine::start_reclamation(NodeId initiator, NodeId dead_head) {
   auto& ini = node(initiator);
   if (!ini.replicas.count(dead_head)) return;
   ++reclaims_started_;
-  QIP_DEBUG << "head " << initiator << " reclaims space of vanished head "
-            << dead_head;
 
   ReclaimTxn rec;
   rec.dead_head = dead_head;
@@ -492,9 +486,6 @@ void QipEngine::finish_reclamation(NodeId dead_head) {
   const bool quorate =
       policy().satisfied(group, reachable_copies, distinguished_reachable);
   if (!quorate) {
-    QIP_DEBUG << "reclamation of " << dead_head
-              << " abandoned: no quorum (" << reachable_copies << "/"
-              << group << ")";
     close_span("no_quorum");
     return;
   }
@@ -506,8 +497,6 @@ void QipEngine::finish_reclamation(NodeId dead_head) {
   if (!is_quarantined(dead_head) && alive(dead_head) &&
       topology().has_node(dead_head) &&
       topology().reachable(initiator, dead_head)) {
-    QIP_DEBUG << "reclamation of " << dead_head
-              << " abandoned: head reachable again";
     close_span("head_returned");
     return;
   }

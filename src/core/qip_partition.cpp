@@ -9,7 +9,6 @@
 #include "core/qip_engine.hpp"
 
 #include "sim/sim_context.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 
@@ -60,7 +59,7 @@ void QipEngine::merge_scan() {
       const NetworkId winner = std::min(st.network_id, other.network_id);
       const NetworkId loser = std::max(st.network_id, other.network_id);
       const NodeId detector = st.network_id == winner ? id : nb;
-      absorb_network(detector, winner, loser);
+      absorb_network(detector, loser);
       return true;
     }
     return false;
@@ -198,11 +197,8 @@ void QipEngine::heal_partition(NodeId detector) {
   }
 }
 
-void QipEngine::absorb_network(NodeId detector, NetworkId winner_id,
-                               NetworkId loser_id) {
+void QipEngine::absorb_network(NodeId detector, NetworkId loser_id) {
   ++merges_handled_;
-  QIP_INFO << "merge detected by node " << detector << ": network "
-           << loser_id << " joins network " << winner_id;
 
   // The detector floods a merge poll so every node of the losing network
   // learns it must reconfigure (§V-C: "all the nodes in the network with the
@@ -260,7 +256,6 @@ void QipEngine::isolated_head_recovery(NodeId head) {
   // regains the whole pool and reconfigures its surviving members.
   auto& st = node(head);
   QIP_ASSERT(st.role == Role::kClusterHead);
-  QIP_INFO << "head " << head << " isolated; restarting as a fresh network";
   if (ctx().tracing_on()) {
     ctx().recorder().instant(sim().now(), "isolated_head_recovery",
                                            "cluster", head);

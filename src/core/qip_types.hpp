@@ -54,7 +54,7 @@ enum class QipMsg : std::uint8_t {
 
 const char* to_string(QipMsg m);
 
-/// One protocol trace event (consumed by the Table-1 bench and debug logs).
+/// One protocol trace event (consumed by the Table-1 bench and the tests).
 struct TraceEvent {
   SimTime time = 0.0;
   QipMsg msg{};

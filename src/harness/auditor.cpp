@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "core/qip_engine.hpp"
-#include "harness/env.hpp"
 #include "util/assert.hpp"
+#include "util/env.hpp"
 
 namespace qip {
 

@@ -9,10 +9,10 @@
 #include "baselines/manetconf.hpp"
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
-#include "harness/env.hpp"
 #include "harness/parallel.hpp"
 #include "harness/world.hpp"
 #include "sim/sim_context.hpp"
+#include "util/env.hpp"
 #include "util/stats.hpp"
 
 namespace qip {
@@ -109,22 +109,6 @@ std::vector<double> means(const std::vector<RunningStats>& stats) {
   out.reserve(stats.size());
   for (const RunningStats& s : stats) out.push_back(s.mean());
   return out;
-}
-
-/// Mixed graceful/abrupt departure of `count` random members (§VI-A).
-template <typename Proto>
-void depart_mixed(World& w, Driver& d, Proto& proto, std::uint32_t count,
-                  double abrupt_ratio) {
-  (void)proto;
-  for (std::uint32_t i = 0; i < count && !d.members().empty(); ++i) {
-    const NodeId victim = d.members()[w.rng().index(d.members().size())];
-    if (w.rng().chance(abrupt_ratio)) {
-      d.depart_abrupt(victim);
-    } else {
-      d.depart_graceful(victim);
-    }
-    w.run_for(0.3);
-  }
 }
 
 }  // namespace

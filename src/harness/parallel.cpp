@@ -1,30 +1,13 @@
 #include "harness/parallel.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
-#include "harness/env.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace qip {
 
-namespace {
-
-std::string cell_failure_message(std::size_t index, std::uint64_t seed,
-                                 const std::string& what) {
-  char head[64];
-  std::snprintf(head, sizeof(head), "cell %zu (seed 0x%016" PRIx64 "): ",
-                index, seed);
-  return head + what;
-}
-
-}  // namespace
-
-CellFailure::CellFailure(std::size_t index, std::uint64_t seed,
-                         const std::string& what)
-    : std::runtime_error(cell_failure_message(index, seed, what)),
-      index_(index),
-      seed_(seed) {}
+CellFailure::CellFailure(std::size_t index, const std::string& what)
+    : std::runtime_error("cell " + std::to_string(index) + ": " + what),
+      index_(index) {}
 
 std::uint32_t jobs_from_env(std::uint32_t fallback) {
   return env_positive_u32("QIP_JOBS", fallback);

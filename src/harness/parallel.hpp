@@ -3,13 +3,13 @@
 //
 // A "cell" is one (x value, round) replication of a scenario — a fully
 // independent simulation with its own seed.  run_cells() gives every cell a
-// replica SimContext of the parent (own logger buffer, own trace recorder,
-// own metrics registry), runs cells on up to `jobs` worker threads, and
-// absorbs the finished contexts back into the parent strictly in ascending
-// cell order.  Because cells never share mutable state and the merge order
-// is fixed, the observable output — figure tables, trace files, metrics,
-// log lines — is byte-identical for every jobs value, including jobs=1,
-// which takes a sequential path with the same replica-context semantics.
+// replica SimContext of the parent (own trace recorder, own metrics
+// registry), runs cells on up to `jobs` worker threads, and absorbs the
+// finished contexts back into the parent strictly in ascending cell order.
+// Because cells never share mutable state and the merge order is fixed, the
+// observable output — figure tables, trace files, metrics — is
+// byte-identical for every jobs value, including jobs=1, which takes a
+// sequential path with the same replica-context semantics.
 //
 // Memory is bounded by backpressure: a worker does not start a cell that is
 // more than a small window ahead of the merge frontier, so at most O(jobs)
@@ -37,20 +37,17 @@
 namespace qip {
 
 /// What run_cells() rethrows when a cell throws: the original message,
-/// prefixed with the cell's identity.  A bare "quorum timed out" from a
-/// 4000-cell campaign is undebuggable; "cell 2317 (seed 0x8f3a...)" can be
-/// re-run in isolation.  index()/seed() expose the identity structurally for
-/// harnesses (the campaign runner journals them).
+/// prefixed with the cell's index ("cell 2317: quorum timed out").  The
+/// caller maps the index back to its (x, round) and so to the seed the cell
+/// gave its World, which re-runs the one failing simulation in isolation.
 class CellFailure : public std::runtime_error {
  public:
-  CellFailure(std::size_t index, std::uint64_t seed, const std::string& what);
+  CellFailure(std::size_t index, const std::string& what);
 
   std::size_t index() const { return index_; }
-  std::uint64_t seed() const { return seed_; }
 
  private:
   std::size_t index_;
-  std::uint64_t seed_;
 };
 
 /// Reads QIP_JOBS (strict parse: malformed values exit(2)), defaulting to
@@ -74,7 +71,7 @@ std::uint64_t derive_cell_seed(std::uint64_t base, std::uint64_t xi,
 ///                     into `parent`.
 ///
 /// If a cell throws, the lowest-index failure is rethrown on the calling
-/// thread as a CellFailure carrying (cell index, seed); cells at higher
+/// thread as a CellFailure carrying the cell index; cells at higher
 /// indices are discarded, and cells still queued behind a recorded failure
 /// are cancelled instead of run to completion — their results could never be
 /// observed, so running them only burns time between the fault and the
@@ -86,15 +83,14 @@ void run_cells(SimContext& parent, std::uint32_t jobs, std::size_t total,
 
   if (jobs <= 1 || total == 1) {
     for (std::size_t idx = 0; idx < total; ++idx) {
-      const std::uint64_t seed = parent.derive_seed(idx);
-      SimContext ctx(SimContext::Replica{}, parent, seed);
+      SimContext ctx(SimContext::Replica{}, parent);
       T result = [&]() -> T {
         try {
           return cell(idx, ctx);
         } catch (const std::exception& e) {
-          throw CellFailure(idx, seed, e.what());
+          throw CellFailure(idx, e.what());
         } catch (...) {
-          throw CellFailure(idx, seed, "unknown exception");
+          throw CellFailure(idx, "unknown exception");
         }
       }();
       parent.absorb(ctx);
@@ -146,16 +142,14 @@ void run_cells(SimContext& parent, std::uint32_t jobs, std::size_t total,
         std::optional<T> result;
         std::exception_ptr error;
         if (!cancelled) {
-          const std::uint64_t seed = parent.derive_seed(idx);
-          ctx = std::make_unique<SimContext>(SimContext::Replica{}, parent,
-                                             seed);
+          ctx = std::make_unique<SimContext>(SimContext::Replica{}, parent);
           try {
             result.emplace(cell(idx, *ctx));
           } catch (const std::exception& e) {
-            error = std::make_exception_ptr(CellFailure(idx, seed, e.what()));
+            error = std::make_exception_ptr(CellFailure(idx, e.what()));
           } catch (...) {
             error = std::make_exception_ptr(
-                CellFailure(idx, seed, "unknown exception"));
+                CellFailure(idx, "unknown exception"));
           }
           if (error) {
             // CAS-min: record the lowest failed index.

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <string>
 
-#include "harness/env.hpp"
+#include "util/env.hpp"
 
 namespace qip {
 

@@ -1,7 +1,6 @@
 #include "harness/world.hpp"
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 
@@ -18,16 +17,9 @@ World::World(const WorldParams& params, std::uint64_t seed, SimContext& ctx)
       transport_(sim_, topology_, stats_, params.per_hop_delay),
       mobility_(sim_, topology_, rng_, params.mobility_tick) {
   topology_.set_context(ctx_);
-  // Most recent world wins: scenarios that run several worlds back to back
-  // (campus_bringup, protocol_faceoff) timestamp against the active one.
-  ctx_->logger().set_time_source(this, [](const void* w) {
-    return static_cast<const World*>(w)->sim_.now();
-  });
 }
 
 World::~World() {
-  ctx_->logger().clear_time_source(this);
-  if (faults_ && ctx_->faults() == faults_.get()) ctx_->set_faults(nullptr);
   if (adversary_ && ctx_->adversary() == adversary_.get())
     ctx_->set_adversary(nullptr);
 }
@@ -35,12 +27,10 @@ World::~World() {
 FaultInjector& World::enable_faults(const FaultPlan& plan) {
   faults_ = std::make_unique<FaultInjector>(plan);
   transport_.set_fault_injector(faults_.get());
-  ctx_->set_faults(faults_.get());
   return *faults_;
 }
 
 void World::disable_faults() {
-  if (faults_ && ctx_->faults() == faults_.get()) ctx_->set_faults(nullptr);
   transport_.set_fault_injector(nullptr);
   faults_.reset();
 }

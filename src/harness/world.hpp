@@ -37,8 +37,8 @@ class World {
   /// A world on the process-default context (the compatibility path: tools,
   /// examples and most tests).
   World(const WorldParams& params, std::uint64_t seed);
-  /// A world bound to `ctx`: every trace event, metric and log line this
-  /// world produces lands in the context instead of the process globals.
+  /// A world bound to `ctx`: every trace event and metric this world
+  /// produces lands in the context instead of the process globals.
   /// The ParallelRunner builds each cell's world this way.  `ctx` must
   /// outlive the world.
   World(const WorldParams& params, std::uint64_t seed, SimContext& ctx);

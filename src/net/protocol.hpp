@@ -117,9 +117,6 @@ class AutoconfProtocol {
   /// The simulation context this protocol's world runs in: trace events and
   /// metrics land here instead of any process-global.
   SimContext& ctx() const { return transport_.ctx(); }
-  /// Shadows the namespace-scope default so QIP_LOG statements inside
-  /// protocol code route to the context's logger (see util/logging.hpp).
-  Logger& qip_active_logger() const { return ctx().logger(); }
 
   ConfigRecord& record_for(NodeId id) { return records_[id]; }
   void drop_record(NodeId id) { records_.erase(id); }

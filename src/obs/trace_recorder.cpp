@@ -1,10 +1,13 @@
 #include "obs/trace_recorder.hpp"
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <ostream>
+
+#include "util/env.hpp"
 
 namespace qip::obs {
 
@@ -104,10 +107,8 @@ void dump_env_trace() {
 }
 
 void TraceRecorder::init_from_env() {
-  if (const char* buf = std::getenv("QIP_TRACE_BUF")) {
-    const unsigned long long n = std::strtoull(buf, nullptr, 10);
-    if (n > 0) capacity_ = static_cast<std::size_t>(n);
-  }
+  capacity_ = env_positive_u32("QIP_TRACE_BUF",
+                               static_cast<std::uint32_t>(capacity_));
   if (const char* path = std::getenv("QIP_TRACE_FILE")) {
     if (*path != '\0') {
       env_dump_path_ = path;
@@ -303,15 +304,27 @@ void TraceRecorder::dump_chrome(std::ostream& os) const {
 
 bool TraceRecorder::dump_file(const std::string& path) const {
   std::ofstream out(path);
-  if (!out) return false;
-  const bool chrome =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (chrome) {
-    dump_chrome(out);
-  } else {
-    dump_jsonl(out);
+  if (out) {
+    const bool chrome =
+        path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
+    if (chrome) {
+      dump_chrome(out);
+    } else {
+      dump_jsonl(out);
+    }
+    out.close();  // flush now, so a failed write is seen below
   }
-  return static_cast<bool>(out);
+  if (!out) {
+    std::fprintf(stderr, "qip: trace %s: could not write\n", path.c_str());
+    return false;
+  }
+  if (overwritten_ > 0) {
+    std::fprintf(stderr,
+                 "qip: trace %s: ring wrapped; kept %zu events, dropped "
+                 "%" PRIu64 " oldest (raise QIP_TRACE_BUF)\n",
+                 path.c_str(), size_, overwritten_);
+  }
+  return true;
 }
 
 }  // namespace qip::obs

@@ -25,7 +25,8 @@
 //
 // Levers: QIP_TRACE_FILE=<path> enables tracing at startup and dumps at
 // process exit (extension .json → Chrome trace_event, else JSONL);
-// QIP_TRACE_BUF=<events> sizes the ring.  See docs/OBSERVABILITY.md.
+// QIP_TRACE_BUF=<events> sizes the ring (strictly parsed: a malformed value
+// exits 2).  See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <chrono>
@@ -146,7 +147,9 @@ class TraceRecorder {
   /// Chrome/Perfetto-loadable JSON ({"traceEvents":[...]}).
   void dump_chrome(std::ostream& os) const;
   /// Dispatch by extension: ".json" → Chrome, anything else → JSONL.
-  /// Returns false when the file cannot be written.
+  /// Returns false when the file cannot be written.  A failed write, or a
+  /// ring that wrapped and so lost its oldest events, is reported as one
+  /// `qip: trace <path>: ...` line on stderr; stdout is never touched.
   bool dump_file(const std::string& path) const;
 
  private:

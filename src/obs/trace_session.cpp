@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "obs/trace_recorder.hpp"
-#include "util/logging.hpp"
 
 namespace qip::obs {
 
@@ -35,17 +34,7 @@ TraceSession::TraceSession(std::string path, TraceRecorder* recorder)
 bool TraceSession::dump() {
   if (path_.empty()) return true;
   TraceRecorder& r = recorder();
-  const bool ok = r.dump_file(path_);
-  if (ok) {
-    if (r.overwritten() > 0) {
-      QIP_INFO << "trace: wrote " << r.size() << " events to " << path_
-               << " (ring wrapped, " << r.overwritten() << " oldest dropped)";
-    } else {
-      QIP_INFO << "trace: wrote " << r.size() << " events to " << path_;
-    }
-  } else {
-    QIP_WARN << "trace: could not write " << path_;
-  }
+  const bool ok = r.dump_file(path_);  // reports a wrap or failure itself
   if (!was_enabled_) r.disable();
   path_.clear();
   return ok;

@@ -50,7 +50,7 @@ std::optional<QuorumBackend> parse_quorum_backend(const char* text);
 
 /// Reads QIP_QUORUM.  Unset/empty selects kDynamicLinear (the paper's rule
 /// and the byte-identity baseline); a malformed value is a usage error and
-/// exits 2, same contract as the strict parsers in harness/env.hpp.
+/// exits 2, same contract as the strict parsers in util/env.hpp.
 QuorumBackend quorum_backend_from_env();
 
 /// One quorum backend.  Stateless and shared — obtain instances through

@@ -1,6 +1,6 @@
 // Explicit quorum systems over small universes (Definition 1, §II-C).
 //
-// The protocol itself only needs the counting rules in voting.hpp /
+// The protocol itself only needs the counting rules in quorum_policy.hpp /
 // dynamic_linear.hpp, but the explicit set-system view is what the paper's
 // Definition 1 and Figure 1 describe, and it is the natural object to
 // property-test (pairwise intersection, minimality).  Universes here are the

@@ -1,7 +1,7 @@
 // Federated quorum slices with v-blocking sets (SCP style, §II-C analogue).
 //
-// The counting rules (voting.hpp, dynamic_linear.hpp) are *symmetric*: every
-// copy weighs the same and only cardinality matters.  A federated system —
+// The counting rules (quorum_policy.hpp, dynamic_linear.hpp) are
+// *symmetric*: every copy weighs the same and only cardinality matters.  A federated system —
 // stellar-core's LocalNode idiom — instead lets every node declare its own
 // quorum *slice*: a k-of-n condition over the peers it trusts.  A set of
 // nodes is then a quorum iff it is non-empty and every member's slice is

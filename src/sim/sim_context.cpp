@@ -2,21 +2,13 @@
 
 namespace qip {
 
-SimContext::SimContext(std::uint64_t root_seed)
-    : owned_logger_(std::make_unique<Logger>()),
-      owned_recorder_(std::make_unique<obs::TraceRecorder>()),
+SimContext::SimContext()
+    : owned_recorder_(std::make_unique<obs::TraceRecorder>()),
       owned_metrics_(std::make_unique<obs::MetricsRegistry>()),
-      logger_(owned_logger_.get()),
       recorder_(owned_recorder_.get()),
-      metrics_(owned_metrics_.get()),
-      rng_(root_seed),
-      root_seed_(root_seed) {}
+      metrics_(owned_metrics_.get()) {}
 
-SimContext::SimContext(Replica, const SimContext& parent,
-                       std::uint64_t root_seed)
-    : SimContext(root_seed) {
-  logger_->set_level(parent.logger_->level());
-  logger_->set_sink(&log_buffer_);
+SimContext::SimContext(Replica, const SimContext& parent) : SimContext() {
   if (parent.recorder_->enabled()) {
     recorder_->set_capacity(parent.recorder_->capacity());
     recorder_->enable();
@@ -24,16 +16,8 @@ SimContext::SimContext(Replica, const SimContext& parent,
 }
 
 SimContext::SimContext(ProcessTag)
-    : logger_(&process_logger()),
-      recorder_(&obs::process_recorder()),
-      metrics_(&obs::process_metrics()),
-      rng_(0),
-      root_seed_(0) {}
-
-std::uint64_t SimContext::derive_seed(std::uint64_t stream) const {
-  SplitMix64 sm(root_seed_ ^ (0x9e3779b97f4a7c15ULL * (stream + 1)));
-  return sm.next();
-}
+    : recorder_(&obs::process_recorder()),
+      metrics_(&obs::process_metrics()) {}
 
 void SimContext::absorb(SimContext& cell) {
   if (recorder_->enabled() && cell.recorder_->enabled()) {
@@ -41,10 +25,6 @@ void SimContext::absorb(SimContext& cell) {
     cell.recorder_->clear();
   }
   metrics_->merge_from(*cell.metrics_);
-  logger_->write_raw(cell.log_buffer_.str());
-  logger_->add_warnings(cell.logger_->warning_count());
-  cell.log_buffer_.str("");
-  cell.logger_->reset_counters();
 }
 
 SimContext& process_context() {

@@ -1,43 +1,38 @@
-// Per-simulation context: the bundle of cross-cutting services a run uses.
+// Per-simulation context: the handles a run reads.
 //
-// Historically the logger, trace recorder and metrics registry were process
-// globals ("single-threaded by design"), which capped the whole bench suite
-// at one core.  A SimContext makes that state per-run: every Simulator (and
+// Historically the trace recorder and metrics registry were process globals
+// ("single-threaded by design"), which capped the whole bench suite at one
+// core.  A SimContext makes that state per-run: every Simulator (and
 // everything reached through it — Transport, ReliableChannel, protocol
-// engines, World) resolves its Logger / TraceRecorder / MetricsRegistry /
-// RNG root / FaultInjector handle through the context instead of a global.
+// engines, World) resolves its TraceRecorder / MetricsRegistry /
+// AdversaryController through the context instead of a global.
 //
 // Three flavors:
 //
 //   * process_context() — the compatibility shim.  Aliases the process-wide
-//     logger/recorder/registry (which still honor QIP_TRACE_FILE etc.), so
-//     tools, examples and tests that predate contexts behave exactly as
-//     before.  Code that never mentions SimContext lands here.
-//   * SimContext(seed) — a fresh, fully isolated context: own logger (sink
-//     defaults to stderr), own disabled recorder, own empty registry.  Two
-//     Worlds on two fresh contexts can interleave arbitrarily — even on
-//     different threads — without observing each other.
-//   * SimContext(Replica, parent, seed) — one parallel cell's context, as
-//     created by the ParallelRunner: inherits the parent's log level and
-//     trace configuration, buffers log lines, and is merged back into the
-//     parent via absorb() in deterministic (x, round) order.
+//     recorder/registry (which still honor QIP_TRACE_FILE etc.), so tools,
+//     examples and tests that predate contexts behave exactly as before.
+//     Code that never mentions SimContext lands here.
+//   * SimContext() — a fresh, fully isolated context: own disabled recorder,
+//     own empty registry.  Two Worlds on two fresh contexts can interleave
+//     arbitrarily — even on different threads — without observing each
+//     other.
+//   * SimContext(Replica, parent) — one parallel cell's context, as created
+//     by the ParallelRunner: inherits the parent's trace configuration and
+//     is merged back into the parent via absorb() in deterministic
+//     (x, round) order.
 //
 // See docs/PARALLELISM.md for the ownership diagram and the determinism
 // contract.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
-#include "util/logging.hpp"
-#include "util/rng.hpp"
 
 namespace qip {
 
-class FaultInjector;
 class AdversaryController;
 
 class SimContext {
@@ -45,52 +40,35 @@ class SimContext {
   /// Tag selecting the replica constructor.
   struct Replica {};
 
-  /// Fresh, fully isolated context (root seed 0).
-  SimContext() : SimContext(0) {}
-  explicit SimContext(std::uint64_t root_seed);
+  /// Fresh, fully isolated context.
+  SimContext();
 
-  /// Replica of `parent` for one parallel cell: same log level and trace
-  /// configuration (capacity + enabled), fresh buffers.  Log lines buffer
-  /// in-context until the parent absorb()s them.
-  SimContext(Replica, const SimContext& parent, std::uint64_t root_seed);
+  /// Replica of `parent` for one parallel cell: same trace configuration
+  /// (capacity + enabled), fresh recorder and registry.
+  SimContext(Replica, const SimContext& parent);
 
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
-  Logger& logger() const { return *logger_; }
   obs::TraceRecorder& recorder() const { return *recorder_; }
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// The one branch an instrumentation site pays when tracing is off.
   bool tracing_on() const { return recorder_->enabled(); }
 
-  /// Context-level RNG root.  Worlds seed their own Rng; this one seeds
-  /// context-scoped decisions and derive_seed().
-  Rng& rng() { return rng_; }
-  std::uint64_t root_seed() const { return root_seed_; }
-
-  /// Pure function of (root_seed, stream): the seed for a child context or
-  /// cell, independent of call order — the enabler for parallel replication.
-  std::uint64_t derive_seed(std::uint64_t stream) const;
-
-  /// Active fault injector, if any (owned elsewhere — usually by a World).
-  FaultInjector* faults() const { return faults_; }
-  void set_faults(FaultInjector* f) { faults_ = f; }
-
   /// Active adversary controller, if any (owned elsewhere — usually by a
-  /// World).  Protocol engines resolve it here, the same way transports
-  /// resolve the fault injector: per-run state travels with the context, so
-  /// parallel cells with different adversary plans never observe each other,
-  /// and the detector/attack timers they derive stay inside their own run.
+  /// World).  Protocol engines resolve it here: per-run state travels with
+  /// the context, so parallel cells with different adversary plans never
+  /// observe each other, and the detector/attack timers they derive stay
+  /// inside their own run.
   AdversaryController* adversary() const { return adversary_; }
   void set_adversary(AdversaryController* a) { adversary_ = a; }
 
-  /// Whether this context aliases the process-wide logger/recorder/registry.
-  bool is_process_context() const { return !owned_logger_; }
+  /// Whether this context aliases the process-wide recorder/registry.
+  bool is_process_context() const { return !owned_recorder_; }
 
   /// Folds a finished cell context into this one: trace events append (span
-  /// ids remapped), metrics merge, buffered log lines flush to this logger's
-  /// sink and warning counts transfer.  Call in deterministic order — the
+  /// ids remapped) and metrics merge.  Call in deterministic order — the
   /// ParallelRunner absorbs cells in ascending (x, round) order, making the
   /// merged state identical to a sequential run.
   void absorb(SimContext& cell);
@@ -100,22 +78,16 @@ class SimContext {
   struct ProcessTag {};
   explicit SimContext(ProcessTag);
 
-  std::unique_ptr<Logger> owned_logger_;
   std::unique_ptr<obs::TraceRecorder> owned_recorder_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  Logger* logger_;
   obs::TraceRecorder* recorder_;
   obs::MetricsRegistry* metrics_;
-  std::ostringstream log_buffer_;  ///< replica log sink until absorb()
-  Rng rng_;
-  std::uint64_t root_seed_;
-  FaultInjector* faults_ = nullptr;
   AdversaryController* adversary_ = nullptr;
 };
 
 /// The process-default context (compatibility shim): wraps the process-wide
-/// logger, recorder and registry.  Everything that never asks for a context
-/// — tools, examples, directly constructed Simulators — runs against this.
+/// recorder and registry.  Everything that never asks for a context — tools,
+/// examples, directly constructed Simulators — runs against this.
 SimContext& process_context();
 
 }  // namespace qip

@@ -21,7 +21,7 @@ class Simulator {
  public:
   /// A simulator bound to `ctx`; null means the process-default context.
   /// Everything downstream of a Simulator (Transport, protocols, World)
-  /// reaches its logger/recorder/metrics through ctx().
+  /// reaches its recorder/metrics through ctx().
   explicit Simulator(SimContext* ctx = nullptr) : ctx_(ctx) {}
 
   SimContext& ctx() const { return ctx_ ? *ctx_ : process_context(); }

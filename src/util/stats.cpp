@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "util/assert.hpp"
 
 namespace qip {
 
@@ -48,67 +45,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::sem() const {
   if (n_ < 2) return 0.0;
   return stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void Histogram::add(std::int64_t value, std::uint64_t weight) {
-  counts_[value] += weight;
-  total_ += weight;
-}
-
-double Histogram::mean() const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (const auto& [value, count] : counts_)
-    acc += static_cast<double>(value) * static_cast<double>(count);
-  return acc / static_cast<double>(total_);
-}
-
-std::int64_t Histogram::min() const {
-  QIP_ASSERT(!empty());
-  return counts_.begin()->first;
-}
-
-std::int64_t Histogram::max() const {
-  QIP_ASSERT(!empty());
-  return counts_.rbegin()->first;
-}
-
-std::int64_t Histogram::quantile(double q) const {
-  QIP_ASSERT(!empty());
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank definition: the smallest value whose cumulative weight
-  // reaches rank = ceil(q * total), with rank clamped to >= 1 so q = 0 is
-  // the minimum by construction (ceil(0) = 0 would otherwise only return
-  // the minimum by accident of the `seen >= rank` comparison) and q = 1 is
-  // the maximum.
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
-  std::uint64_t seen = 0;
-  for (const auto& [value, count] : counts_) {
-    seen += count;
-    if (seen >= rank) return value;
-  }
-  return counts_.rbegin()->first;
-}
-
-Summary summarize(const RunningStats& stats) {
-  Summary s;
-  s.mean = stats.mean();
-  s.ci95 = stats.ci95();
-  s.min = stats.min();
-  s.max = stats.max();
-  s.rounds = stats.count();
-  return s;
-}
-
-std::string format_summary(const Summary& s) {
-  char buf[64];
-  if (s.ci95 > 0.0) {
-    std::snprintf(buf, sizeof buf, "%.2f ±%.2f", s.mean, s.ci95);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.2f", s.mean);
-  }
-  return buf;
 }
 
 }  // namespace qip

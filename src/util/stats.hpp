@@ -1,14 +1,10 @@
 // Streaming statistics used by the experiment harness.
 //
 // RunningStats uses Welford's algorithm so multi-thousand-round sweeps stay
-// numerically stable; Histogram tracks integer-valued hop counts; Summary is
-// the value type figures report (mean ± 95% CI over rounds).
+// numerically stable.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace qip {
 
@@ -39,42 +35,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Exact histogram over integer observations (hop counts, quorum sizes).
-class Histogram {
- public:
-  void add(std::int64_t value, std::uint64_t weight = 1);
-
-  std::uint64_t total() const { return total_; }
-  bool empty() const { return total_ == 0; }
-  double mean() const;
-  std::int64_t min() const;
-  std::int64_t max() const;
-  /// Value at quantile q in [0,1] by the nearest-rank definition: the
-  /// smallest value whose cumulative weight reaches max(1, ceil(q*total)).
-  /// q=0 is exactly min(), q=1 exactly max(), q=0.5 the (upper) median.
-  std::int64_t quantile(double q) const;
-  const std::map<std::int64_t, std::uint64_t>& buckets() const {
-    return counts_;
-  }
-
- private:
-  std::map<std::int64_t, std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Final statistic reported for one data point of a figure.
-struct Summary {
-  double mean = 0.0;
-  double ci95 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::uint64_t rounds = 0;
-};
-
-Summary summarize(const RunningStats& stats);
-
-/// Formats "12.34 ±0.56" with sensible precision for tables.
-std::string format_summary(const Summary& s);
 
 }  // namespace qip

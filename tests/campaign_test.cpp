@@ -332,16 +332,20 @@ TEST(Snapshot, LoadRejectsCorruptFiles) {
   }
   EXPECT_FALSE(load_snapshot(path, &err).has_value());
   EXPECT_NE(err.find("magic"), std::string::npos);
-  {
+  // Every version but the current one is refused, the previous format (v1)
+  // included.
+  for (const char* old : {"QIPSNAP v99\n", "QIPSNAP v1\n"}) {
     std::ofstream f(path, std::ios::trunc);
-    f << "QIPSNAP v99\n";
+    f << old;
+    f.close();
+    EXPECT_FALSE(load_snapshot(path, &err).has_value());
+    EXPECT_NE(err.find("version"), std::string::npos);
   }
-  EXPECT_FALSE(load_snapshot(path, &err).has_value());
-  EXPECT_NE(err.find("version"), std::string::npos);
   {
     std::ofstream f(path, std::ios::trunc);
     CellSpec spec;
-    f << "QIPSNAP v1\nspec " << spec.canonical() << "\nphase 1\n";
+    f << "QIPSNAP v" << kSnapshotVersion << "\nspec " << spec.canonical()
+      << "\nphase 1\n";
   }
   EXPECT_FALSE(load_snapshot(path, &err).has_value());
   std::remove(path.c_str());

@@ -34,18 +34,9 @@
 #include "obs/trace_io.hpp"
 #include "obs/trace_recorder.hpp"
 #include "obs/trace_session.hpp"
-#include "util/logging.hpp"
 
 namespace qip {
 namespace {
-
-// Latch QIP_LOG_SIMTIME before any log line can be written: the logger reads
-// the variable once, so it must be set before the first emission in this
-// process (LoggerSimTime asserts on the timestamps it produces).
-const bool kSimtimeEnv = [] {
-  ::setenv("QIP_LOG_SIMTIME", "1", 1);
-  return true;
-}();
 
 /// Enables a clean recorder for one test and restores the disabled state.
 class RecorderScope {
@@ -246,6 +237,58 @@ TEST(TraceSession, ExtractsTraceFlagAndWritesFile) {
   ASSERT_EQ(parsed->size(), 1u);
   EXPECT_EQ((*parsed)[0].name, "mark");
   std::remove(path.c_str());
+}
+
+// A ring that wrapped lost its oldest events: the dump says so on stderr,
+// naming the file, what it kept and what it dropped, instead of leaving a
+// silently truncated trace.  A dump that kept everything stays quiet.
+TEST(TraceSession, WrappedRingReportsDroppedEventsOnStderr) {
+  obs::TraceRecorder rec;
+  rec.set_capacity(64);
+  const std::string path = ::testing::TempDir() + "obs_session_wrap.jsonl";
+
+  ::testing::internal::CaptureStderr();
+  {
+    obs::TraceSession session(path, &rec);
+    for (int i = 0; i < 64; ++i) rec.instant(i, "mark", "test", 1);
+  }
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  ::testing::internal::CaptureStderr();
+  {
+    obs::TraceSession session(path, &rec);
+    for (int i = 0; i < 100; ++i) rec.instant(i, "mark", "test", 1);
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("qip: trace " + path), std::string::npos) << err;
+  EXPECT_NE(err.find("kept 64 events"), std::string::npos) << err;
+  EXPECT_NE(err.find("dropped 36 oldest"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
+TEST(TraceSession, UnwritablePathReportsOnStderr) {
+  obs::TraceRecorder rec;
+  const std::string path = ::testing::TempDir() + "no_such_dir/trace.json";
+  ::testing::internal::CaptureStderr();
+  obs::TraceSession session(path, &rec);
+  rec.instant(1.0, "mark", "test", 1);
+  EXPECT_FALSE(session.dump());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("qip: trace " + path + ": could not write"),
+            std::string::npos)
+      << err;
+}
+
+// QIP_TRACE_BUF is read once, on the process recorder's first use, so each
+// value is checked in a freshly exec'd child (threadsafe death tests).
+TEST(TraceRecorderEnvDeathTest, MalformedTraceBufExitsTwo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"64k", "-5", "0"}) {
+    ::setenv("QIP_TRACE_BUF", bad, 1);
+    EXPECT_EXIT(obs::process_recorder(), ::testing::ExitedWithCode(2),
+                "invalid QIP_TRACE_BUF");
+  }
+  ::unsetenv("QIP_TRACE_BUF");
 }
 
 // ---------------------------------------------------------------------------
@@ -734,37 +777,6 @@ TEST(ReliableAccounting, OnlyRoutedAttemptsReachMessageStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Logger sim-time timestamps (QIP_LOG_SIMTIME=1)
-// ---------------------------------------------------------------------------
-
-TEST(LoggerSimTime, TimestampsFollowTheActiveWorldClock) {
-  ASSERT_TRUE(kSimtimeEnv);
-  std::ostringstream captured;
-  Logger& log = process_logger();
-  const LogLevel old_level = log.level();
-  log.set_sink(&captured);
-  log.set_level(LogLevel::kInfo);
-
-  {
-    World world({}, /*seed=*/5);
-    world.run_for(1.5);
-    QIP_INFO << "mid-run marker";
-    EXPECT_NE(captured.str().find("[INFO t=1.500] mid-run marker"),
-              std::string::npos)
-        << captured.str();
-  }
-  // The world unregistered its clock on destruction: plain prefixes return.
-  captured.str("");
-  QIP_INFO << "after-run marker";
-  EXPECT_NE(captured.str().find("[INFO] after-run marker"), std::string::npos)
-      << captured.str();
-
-  log.set_sink(nullptr);
-  log.set_level(old_level);
-  log.reset_counters();
-}
-
-// ---------------------------------------------------------------------------
 // SimContext isolation (the de-globalization contract; the parallel half —
 // interleaved worlds, replica merge order — lives in
 // tests/parallel_runner_test.cpp.  See docs/PARALLELISM.md.)
@@ -775,7 +787,7 @@ TEST(SimContextIsolation, ContextBoundWorldBypassesProcessObservability) {
   const std::string process_metrics_before =
       obs::process_metrics().render_text();
 
-  SimContext ctx(/*root_seed=*/77);
+  SimContext ctx;
   ctx.recorder().enable();
   {
     World world({}, /*seed=*/77, ctx);
@@ -799,7 +811,7 @@ TEST(SimContextIsolation, ContextBoundWorldBypassesProcessObservability) {
 
 TEST(SimContextIsolation, ProcessContextWorldStillFeedsProcessRecorder) {
   RecorderScope scope;
-  SimContext bystander(/*root_seed=*/5);
+  SimContext bystander;
   bystander.recorder().enable();
 
   World world({}, /*seed=*/42);  // compatibility path: process context

@@ -2,8 +2,7 @@
 //
 // The determinism contract (docs/PARALLELISM.md): the worker count is pure
 // mechanism.  run_cells() must produce the same results, the same merged
-// trace, the same metrics and the same log bytes at every QIP_JOBS value —
-// and two Worlds on two fresh SimContexts must never observe each other,
+// trace and the same metrics at every QIP_JOBS value — and two Worlds on two fresh SimContexts must never observe each other,
 // however their event loops interleave.
 //
 // Wall-clock profile sections (cat "profile", profile_us histograms) are the
@@ -21,7 +20,6 @@
 #include <thread>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -129,12 +127,14 @@ void expect_same_events(const std::vector<obs::Event>& a,
 TEST(RunCells, MergesInAscendingOrderAtAnyJobsCount) {
   for (std::uint32_t jobs : {1u, 2u, 4u, 16u}) {
     SCOPED_TRACE(jobs);
-    SimContext parent(42);
+    SimContext parent;
     std::vector<std::size_t> order;
     std::vector<std::uint64_t> seeds;
     run_cells<std::uint64_t>(
         parent, jobs, 13,
-        [](std::size_t, SimContext& ctx) { return ctx.root_seed(); },
+        [](std::size_t idx, SimContext&) {
+          return derive_cell_seed(42, 0, idx);
+        },
         [&](std::size_t idx, std::uint64_t seed) {
           order.push_back(idx);
           seeds.push_back(seed);
@@ -142,9 +142,9 @@ TEST(RunCells, MergesInAscendingOrderAtAnyJobsCount) {
     ASSERT_EQ(order.size(), 13u);
     for (std::size_t i = 0; i < order.size(); ++i) {
       EXPECT_EQ(order[i], i);
-      // Cell seeds are a pure function of (parent seed, idx) — never of
-      // which worker picked the cell up.
-      EXPECT_EQ(seeds[i], parent.derive_seed(i));
+      // Each result reaches merge() with its own index — never with the
+      // index of whichever cell a worker happened to finish first.
+      EXPECT_EQ(seeds[i], derive_cell_seed(42, 0, i));
     }
   }
 }
@@ -152,7 +152,7 @@ TEST(RunCells, MergesInAscendingOrderAtAnyJobsCount) {
 TEST(RunCells, LowestIndexExceptionWinsAndLaterCellsAreDiscarded) {
   for (std::uint32_t jobs : {1u, 4u}) {
     SCOPED_TRACE(jobs);
-    SimContext parent(1);
+    SimContext parent;
     std::vector<std::size_t> merged;
     try {
       run_cells<int>(
@@ -167,13 +167,10 @@ TEST(RunCells, LowestIndexExceptionWinsAndLaterCellsAreDiscarded) {
       FAIL() << "run_cells swallowed the cell exception";
     } catch (const CellFailure& e) {
       // Deterministic even when cell 7 finishes (and fails) first — and the
-      // rethrown failure carries the cell's identity, not just the payload:
-      // index and seed name the one simulation to re-run in isolation.
+      // rethrown failure carries the cell's index, not just the payload: it
+      // names the one simulation to re-run in isolation.
       EXPECT_EQ(e.index(), 3u);
-      EXPECT_EQ(e.seed(), parent.derive_seed(3));
-      EXPECT_NE(std::string(e.what()).find("cell 3 (seed 0x"),
-                std::string::npos)
-          << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("cell 3: ", 0), 0u) << e.what();
       EXPECT_NE(std::string(e.what()).find("boom 3"), std::string::npos)
           << e.what();
     }
@@ -182,7 +179,7 @@ TEST(RunCells, LowestIndexExceptionWinsAndLaterCellsAreDiscarded) {
 }
 
 TEST(RunCells, NonStdExceptionsStillCarryCellIdentity) {
-  SimContext parent(5);
+  SimContext parent;
   try {
     run_cells<int>(
         parent, /*jobs=*/1, /*total=*/2,
@@ -202,7 +199,7 @@ TEST(RunCells, FailureCancelsStillQueuedCells) {
   // only a bounded prefix can even start before the failure is recorded, so
   // an executed count anywhere near `total` means cancellation is broken.
   std::atomic<std::size_t> executed{0};
-  SimContext parent(9);
+  SimContext parent;
   try {
     run_cells<int>(
         parent, /*jobs=*/4, /*total=*/400,
@@ -232,11 +229,11 @@ TEST(Parallel, DeriveCellSeedIsPureAndCollisionFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identity of merged results, traces, metrics and logs across jobs
+// Byte-identity of merged results, traces and metrics across jobs
 // ---------------------------------------------------------------------------
 
 std::vector<CellOutcome> replicate(std::uint32_t jobs, std::size_t cells) {
-  SimContext parent(2026);
+  SimContext parent;
   std::vector<CellOutcome> merged;
   run_cells<CellOutcome>(
       parent, jobs, cells,
@@ -265,29 +262,24 @@ TEST(RunCells, ResultsAreBitIdenticalAcrossJobs) {
 struct Observed {
   std::vector<obs::Event> events;
   std::string metrics;
-  std::string logs;
-  std::uint64_t warnings = 0;
 };
 
 Observed observe(std::uint32_t jobs) {
-  SimContext parent(7);
-  std::ostringstream sink;
-  parent.logger().set_sink(&sink);
+  SimContext parent;
   parent.recorder().set_capacity(1u << 15);
   parent.recorder().enable();
   run_cells<CellOutcome>(
       parent, jobs, /*total=*/3,
       [](std::size_t idx, SimContext& ctx) {
-        ctx.logger().write_raw("cell " + std::to_string(idx) + " ran\n");
+        // A per-cell marker: merge order shows up in the trace itself.
+        ctx.recorder().instant(0.0, "cell_marker", "test",
+                               static_cast<std::uint32_t>(idx));
         return bringup_cell(ctx, derive_cell_seed(7, 0, idx));
       },
       [](std::size_t, CellOutcome) {});
   Observed o;
   o.events = sim_events(parent.recorder());
   o.metrics = deterministic_metrics(parent.metrics());
-  o.logs = sink.str();
-  o.warnings = parent.logger().warning_count();
-  parent.logger().set_sink(nullptr);
   return o;
 }
 
@@ -302,14 +294,17 @@ TEST(RunCells, TraceMetricsAndLogsIdenticalAcrossJobs) {
   ASSERT_NE(sequential.metrics.find("qip_messages_total"), std::string::npos);
   EXPECT_EQ(sequential.metrics, parallel.metrics);
 
-  // Replica log lines buffer per-cell and flush in merge order.
-  EXPECT_EQ(sequential.logs, "cell 0 ran\ncell 1 ran\ncell 2 ran\n");
-  EXPECT_EQ(parallel.logs, sequential.logs);
-  EXPECT_EQ(parallel.warnings, sequential.warnings);
+  // The trace is the run's one log: each replica's events land in merge
+  // order, so the per-cell markers read 0, 1, 2 at any jobs count.
+  std::vector<std::uint32_t> markers;
+  for (const auto& e : parallel.events) {
+    if (std::string_view(e.name) == "cell_marker") markers.push_back(e.tid);
+  }
+  EXPECT_EQ(markers, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(RunCells, ReplicaSpanIdsNeverCollideAfterMerge) {
-  SimContext parent(3);
+  SimContext parent;
   parent.recorder().set_capacity(1u << 15);
   parent.recorder().enable();
   run_cells<int>(
@@ -344,8 +339,7 @@ TEST(RunCells, ReplicaSpanIdsNeverCollideAfterMerge) {
 class Scenario {
  public:
   explicit Scenario(std::uint64_t seed)
-      : ctx_(seed),
-        world_(WorldParams{}, seed, ctx_),
+      : world_(WorldParams{}, seed, ctx_),
         proto_(world_.transport(), world_.rng(), QipParams{}) {
     ctx_.recorder().set_capacity(1u << 14);
     ctx_.recorder().enable();
@@ -403,20 +397,19 @@ TEST(SimContextIsolation, InterleavedWorldsMatchEachSolo) {
 }
 
 TEST(SimContextIsolation, FreshContextsDoNotShareMetricsOrLogs) {
-  SimContext a(1), b(2);
+  SimContext a, b;
   a.metrics().counter("isolation_probe").inc(3.0);
   EXPECT_EQ(b.metrics().counter("isolation_probe").value(), 0.0);
   EXPECT_EQ(a.metrics().counter("isolation_probe").value(), 3.0);
 
-  std::ostringstream sink_a, sink_b;
-  a.logger().set_sink(&sink_a);
-  b.logger().set_sink(&sink_b);
-  a.logger().write(LogLevel::kWarn, "from a");
-  EXPECT_NE(sink_a.str().find("from a"), std::string::npos);
-  EXPECT_TRUE(sink_b.str().empty());
-  EXPECT_EQ(a.logger().warning_count(), 1u);
-  EXPECT_EQ(b.logger().warning_count(), 0u);
-  EXPECT_EQ(process_logger().sink(), nullptr);
+  // The trace recorder is a context's log: what one context records stays
+  // out of the other and out of the process-wide recorder.
+  a.recorder().enable();
+  a.recorder().instant(1.0, "from_a", "test", 1);
+  EXPECT_EQ(a.recorder().size(), 1u);
+  EXPECT_FALSE(b.recorder().enabled());
+  EXPECT_EQ(b.recorder().size(), 0u);
+  EXPECT_EQ(obs::process_recorder().size(), 0u);
 }
 
 }  // namespace

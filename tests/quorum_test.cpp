@@ -5,8 +5,8 @@
 #include <numeric>
 
 #include "quorum/dynamic_linear.hpp"
+#include "quorum/quorum_policy.hpp"
 #include "quorum/quorum_system.hpp"
-#include "quorum/voting.hpp"
 #include "util/assert.hpp"
 
 namespace qip {
@@ -19,60 +19,51 @@ std::vector<std::uint32_t> universe(std::uint32_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// QuorumSpec — w > v/2 and r + w > v
+// Majority quorums — w > v/2 and r + w > v (§II-C)
 // ---------------------------------------------------------------------------
+
+/// The majority backend's write threshold for `v` voters and the minimal
+/// read quorum that pairs with it (r = v − w + 1).
+struct MajorityQuorums {
+  std::uint32_t write;
+  std::uint32_t read;
+};
+
+MajorityQuorums majority_quorums(std::uint32_t v) {
+  const std::uint32_t w =
+      quorum_policy(QuorumBackend::kMajority).threshold(v, false);
+  return {w, v - w + 1};
+}
 
 class QuorumSpecProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(QuorumSpecProperty, MinimalSatisfiesPaperConditions) {
   const std::uint32_t v = GetParam();
-  const QuorumSpec spec = QuorumSpec::minimal(v);
-  EXPECT_TRUE(spec.valid());
-  EXPECT_GT(2 * spec.write_quorum, v);
-  EXPECT_GT(spec.read_quorum + spec.write_quorum, v);
+  const auto [w, r] = majority_quorums(v);
+  EXPECT_LE(w, v);
+  EXPECT_GE(r, 1u);
+  EXPECT_GT(2 * w, v);
+  EXPECT_GT(r + w, v);
   // Minimality: one fewer write vote breaks the first condition.
-  EXPECT_LE(2 * (spec.write_quorum - 1), v);
+  EXPECT_LE(2 * (w - 1), v);
+  // The explicit read system (what the intersection checker consumes) uses
+  // exactly these minimal reads.
+  if (v <= QuorumSystem::kMaxUniverse) {
+    const QuorumSystem reads = quorum_policy(QuorumBackend::kMajority)
+                                   .read_system(universe(v), std::nullopt);
+    EXPECT_EQ(reads.min_quorum_size(), r);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, QuorumSpecProperty,
                          ::testing::Range(1u, 26u));
 
 TEST(QuorumSpec, KnownValues) {
-  EXPECT_EQ(QuorumSpec::minimal(1).write_quorum, 1u);
-  EXPECT_EQ(QuorumSpec::minimal(5).write_quorum, 3u);
-  EXPECT_EQ(QuorumSpec::minimal(5).read_quorum, 3u);
-  EXPECT_EQ(QuorumSpec::minimal(6).write_quorum, 4u);
-  EXPECT_EQ(QuorumSpec::minimal(6).read_quorum, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// VoteCounter
-// ---------------------------------------------------------------------------
-
-TEST(VoteCounter, ReachesThreshold) {
-  VoteCounter c(2, 3);
-  EXPECT_FALSE(c.settled());
-  c.confirm(5);
-  EXPECT_FALSE(c.reached());
-  c.confirm(9);
-  EXPECT_TRUE(c.reached());
-  EXPECT_EQ(c.latest_timestamp(), 9u);
-}
-
-TEST(VoteCounter, FailsWhenImpossible) {
-  VoteCounter c(2, 3);
-  c.deny();
-  EXPECT_FALSE(c.failed());  // 2 of the remaining 2 could still confirm
-  c.deny();
-  EXPECT_TRUE(c.failed());  // only 1 outstanding, 2 needed
-  EXPECT_TRUE(c.settled());
-}
-
-TEST(VoteCounter, OverCountingThrows) {
-  VoteCounter c(1, 1);
-  c.confirm(0);
-  EXPECT_THROW(c.confirm(0), InvariantViolation);
-  EXPECT_THROW(c.deny(), InvariantViolation);
+  EXPECT_EQ(majority_quorums(1).write, 1u);
+  EXPECT_EQ(majority_quorums(5).write, 3u);
+  EXPECT_EQ(majority_quorums(5).read, 3u);
+  EXPECT_EQ(majority_quorums(6).write, 4u);
+  EXPECT_EQ(majority_quorums(6).read, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Unit tests for util: rng, stats, tables, csv, assertions, logging.
+// Unit tests for util: rng, stats, tables, csv, assertions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -116,7 +115,7 @@ TEST(Rng, RoundRngIndependentOfOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// RunningStats / Histogram
+// RunningStats
 // ---------------------------------------------------------------------------
 
 TEST(RunningStats, MeanAndVariance) {
@@ -161,67 +160,6 @@ TEST(RunningStats, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(Histogram, MeanQuantiles) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.add(i);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_EQ(h.quantile(0.5), 50);
-  EXPECT_EQ(h.quantile(0.0), 1);
-  EXPECT_EQ(h.quantile(1.0), 100);
-  EXPECT_EQ(h.min(), 1);
-  EXPECT_EQ(h.max(), 100);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h;
-  h.add(3, 10);
-  h.add(7, 30);
-  EXPECT_EQ(h.total(), 40u);
-  EXPECT_DOUBLE_EQ(h.mean(), 6.0);
-  EXPECT_EQ(h.quantile(0.2), 3);
-  EXPECT_EQ(h.quantile(0.9), 7);
-}
-
-// Nearest-rank pins (feeds the _p50/_p99 metric lines): rank is clamped to
-// >= 1, so q=0 is the minimum by construction, not by accident of the
-// cumulative comparison, and q=1 is exactly the maximum.
-TEST(Histogram, QuantileEndpointsAreMinAndMax) {
-  Histogram h;
-  h.add(5);
-  EXPECT_EQ(h.quantile(0.0), 5);
-  EXPECT_EQ(h.quantile(1.0), 5);
-  h.add(-3, 2);
-  h.add(11, 4);
-  EXPECT_EQ(h.quantile(0.0), h.min());
-  EXPECT_EQ(h.quantile(1.0), h.max());
-  // Out-of-range q clamps rather than misbehaving.
-  EXPECT_EQ(h.quantile(-0.5), h.min());
-  EXPECT_EQ(h.quantile(1.5), h.max());
-}
-
-TEST(Histogram, QuantileWeightedBucketBoundaries) {
-  Histogram h;
-  h.add(1, 3);  // cumulative 3 of 4
-  h.add(2, 1);  // cumulative 4 of 4
-  // rank = ceil(q*4): q up to 0.75 lands in the first bucket, anything
-  // beyond crosses into the second.
-  EXPECT_EQ(h.quantile(0.75), 1);
-  EXPECT_EQ(h.quantile(0.7501), 2);
-  EXPECT_EQ(h.quantile(1.0), 2);
-  // A tiny-but-positive q has rank ceil(eps) = 1: still the minimum.
-  EXPECT_EQ(h.quantile(1e-12), 1);
-}
-
-TEST(Summary, Format) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(3.0);
-  const Summary sum = summarize(s);
-  EXPECT_DOUBLE_EQ(sum.mean, 2.0);
-  EXPECT_EQ(sum.rounds, 2u);
-  EXPECT_NE(format_summary(sum).find("2.00"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,20 +233,6 @@ TEST(Assert, ThrowsWithMessage) {
 TEST(Assert, PassesSilently) {
   QIP_ASSERT(1 + 1 == 2);
   QIP_ASSERT_MSG(true, "never evaluated");
-}
-
-TEST(Logging, LevelFilters) {
-  auto& logger = process_logger();
-  const LogLevel before = logger.level();
-  std::ostringstream sink;
-  logger.set_sink(&sink);
-  logger.set_level(LogLevel::kWarn);
-  QIP_DEBUG << "hidden";
-  QIP_WARN << "visible";
-  logger.set_sink(nullptr);
-  logger.set_level(before);
-  EXPECT_EQ(sink.str().find("hidden"), std::string::npos);
-  EXPECT_NE(sink.str().find("visible"), std::string::npos);
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 #   * trace_invariance — QIP_TRACE_FILE unset vs set.  The TraceRecorder
 #     draws no randomness and schedules nothing (docs/OBSERVABILITY.md).
 #   * jobs_invariance — QIP_JOBS=1 vs 4.  Every replication cell runs on its
-#     own SimContext with an order-independent derived seed, and cells merge
-#     in (x, round) order (docs/PARALLELISM.md).  Needs ROUNDS >= 2 so the
-#     runner has cells to interleave.
+#     own SimContext, seeds its World from its (x, round) position, and
+#     cells merge in (x, round) order (docs/PARALLELISM.md).  Needs
+#     ROUNDS >= 2 so the runner has cells to interleave.
 #   * quorum_invariance — two backend identities that hold by construction
 #     (docs/QUORUM.md): default vs QIP_QUORUM=dynamic_linear (the policy
 #     machinery is dormant) and majority vs slices (flat-majority slices are

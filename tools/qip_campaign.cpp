@@ -30,7 +30,7 @@
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "harness/env.hpp"
+#include "util/env.hpp"
 
 using namespace qip;
 

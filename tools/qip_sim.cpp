@@ -32,7 +32,6 @@
 #include "baselines/weak_dad.hpp"
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
-#include "harness/env.hpp"
 #include "harness/parallel.hpp"
 #include "harness/seed.hpp"
 #include "harness/world.hpp"
@@ -41,6 +40,7 @@
 #include "obs/trace_recorder.hpp"
 #include "obs/trace_session.hpp"
 #include "util/csv.hpp"
+#include "util/env.hpp"
 
 using namespace qip;
 
