@@ -10,28 +10,34 @@
 //   plateau     — quiescent steady state: hello beacons and nothing else
 //
 // Per phase: wall-clock seconds, peak RSS (VmHWM), simulator events, and
-// global operator-new calls (counted by the override below, the
-// micro_event_queue precedent) — allocs/event in the plateau pins the
-// arena + inline-capture claim that the steady state runs allocation-free
-// per delivered event.  Topology patch/rebuild counters pin the incremental
-// connectivity path actually engaging at scale.
+// global operator-new calls (bench/alloc_counter.hpp) — allocs/event in the
+// plateau pins the arena + inline-capture claim that the steady state runs
+// allocation-free per delivered event.  Topology patch/rebuild counters pin
+// the incremental connectivity path actually engaging at scale.
+//
+// Arrivals and departures go through harness/driver's waves, the same
+// lifecycle code every other scenario runs.  No uniqueness auditor is
+// attached: its per-probe rebuild does not scale to a city yet
+// (docs/SCALE.md).
 //
 // Sizing: --nodes N or QIP_METRO_NODES (default 2000 so a bare run finishes
 // in seconds; the committed BENCH_metro.json baseline is the
 // QIP_METRO_NODES=100000 run, see tools/check_bench_json.cmake).  The area
 // scales with n at constant density (~9 expected neighbors), so protocol
 // locality matches the paper's geometry at any size.
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/qip_engine.hpp"
+#include "harness/driver.hpp"
 #include "harness/world.hpp"
 #include "net/node_id.hpp"
 #include "sim/arena.hpp"
@@ -41,50 +47,6 @@
 #include "util/table.hpp"
 
 using namespace qip;
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same idiom as bench/micro_event_queue.cpp).
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-}  // namespace
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -116,12 +78,12 @@ struct PhaseReport {
   std::uint64_t configured = 0;
 };
 
-/// Brackets one phase: wall clock plus event and allocation deltas.  The
-/// deltas are read before the (allocating) configured-address scan so the
-/// scan never pollutes the phase it closes.
-class PhaseMeter {
+/// Brackets one phase's host cost: wall clock plus event and allocation
+/// deltas.  The deltas are read before the (allocating) configured-address
+/// scan so the scan never pollutes the phase it closes.
+class HostMeter {
  public:
-  PhaseMeter(World& world, const QipEngine& proto)
+  HostMeter(World& world, const QipEngine& proto)
       : world_(world), proto_(proto) {}
 
   void begin() {
@@ -189,22 +151,25 @@ int main(int argc, char** argv) {
   QipEngine proto(world.transport(), world.rng(), qp);
   proto.start_hello();
 
+  DriverOptions dopt;
+  dopt.mobility = false;  // the Gauss-Markov drift below moves the nodes
+  dopt.connected_arrivals = false;
+  dopt.audit = false;  // see the file comment
+  dopt.departure_settle = 0.5;
+  Driver driver(world, proto, dopt);
+
   std::vector<PhaseReport> phases;
-  PhaseMeter meter(world, proto);
+  HostMeter meter(world, proto);
 
   // -- Phase 1: flash crowd --------------------------------------------------
   // A seed node first (one self-election instead of n parallel ones), then
   // dense waves: ~n/20 arrivals per simulated second.
   meter.begin();
-  world.place_random(0);
-  proto.node_entered(0);
+  driver.join_wave(1);
   world.run_for(3.0);
   const std::uint32_t wave = n / 20 + 1;
-  for (NodeId id = 1; id < n;) {
-    for (std::uint32_t k = 0; k < wave && id < n; ++k, ++id) {
-      world.place_random(id);
-      proto.node_entered(id);
-    }
+  while (driver.joined_count() < n) {
+    driver.join_wave(std::min(wave, n - driver.joined_count()));
     world.run_for(1.0);
   }
   world.run_for(10.0);  // let the tail of the entry storm settle
@@ -247,10 +212,10 @@ int main(int argc, char** argv) {
   phases.push_back(meter.end("drift"));
 
   // -- Phase 3: mass departure ----------------------------------------------
-  // Every third node leaves; alternating graceful (protocol farewell, short
-  // settle, then the radio goes dark — harness/driver.cpp's contract) and
+  // Every third node leaves; alternating graceful (protocol farewell, a
+  // 0.5 s settle, then the radio goes dark — the Driver's contract) and
   // abrupt (the radio goes dark mid-conversation).  Departures go out in 20
-  // batches so the phase spans constant simulated time at any n — the wave
+  // waves so the phase spans constant simulated time at any n — the wave
   // structure of an evening rush, not a single-file exit.
   meter.begin();
   {
@@ -265,21 +230,9 @@ int main(int argc, char** argv) {
       const auto slice = [&](const std::vector<NodeId>& v) {
         const std::size_t lo = v.size() * b / batches;
         const std::size_t hi = v.size() * (b + 1) / batches;
-        return std::pair<std::size_t, std::size_t>{lo, hi};
+        return std::span<const NodeId>(v).subspan(lo, hi - lo);
       };
-      const auto [glo, ghi] = slice(graceful);
-      for (std::size_t i = glo; i < ghi; ++i)
-        proto.node_departing(graceful[i]);
-      world.run_for(0.5);  // farewells propagate before the radios go dark
-      for (std::size_t i = glo; i < ghi; ++i) {
-        world.topology().remove_node(graceful[i]);
-        proto.node_left(graceful[i]);
-      }
-      const auto [alo, ahi] = slice(abrupt);
-      for (std::size_t i = alo; i < ahi; ++i) {
-        world.topology().remove_node(abrupt[i]);
-        proto.node_vanished(abrupt[i]);
-      }
+      driver.depart(slice(graceful), slice(abrupt));
       world.run_for(0.5);
     }
     world.run_for(10.0);

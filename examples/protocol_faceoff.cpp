@@ -1,7 +1,7 @@
-// Protocol face-off: runs all five implemented autoconfiguration protocols
-// (QIP and the four baselines of §III) through the same scenario and prints
-// a side-by-side comparison — a one-binary tour of the design space the
-// paper surveys.
+// Protocol face-off: runs all eight implemented autoconfiguration protocols
+// (QIP and the seven baselines of §III, built by name in harness/protocols)
+// through the same scenario and prints a side-by-side comparison — a
+// one-binary tour of the design space the paper surveys.
 //
 // Pass `--trace-dir DIR` to additionally record one structured trace per
 // protocol (DIR/faceoff_<name>.trace.json, Perfetto-loadable) and print the
@@ -10,17 +10,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <utility>
+#include <vector>
 
-#include "baselines/boleng.hpp"
-#include "baselines/buddy.hpp"
-#include "baselines/ctree.hpp"
-#include "baselines/dad.hpp"
-#include "baselines/manetconf.hpp"
-#include "baselines/pdad.hpp"
-#include "baselines/weak_dad.hpp"
-#include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
+#include "harness/protocols.hpp"
 #include "harness/seed.hpp"
 #include "harness/world.hpp"
 #include "obs/metrics.hpp"
@@ -73,8 +67,7 @@ std::string extract_trace_dir(int& argc, char** argv) {
   return "";
 }
 
-template <typename MakeProto>
-Row run_scenario(const std::string& name, MakeProto&& make) {
+Row run_scenario(const std::string& name, const std::string& protocol) {
   obs::TraceSession trace;
   std::string trace_file;
   if (!g_trace_dir.empty()) {
@@ -87,7 +80,7 @@ Row run_scenario(const std::string& name, MakeProto&& make) {
   WorldParams wp;
   wp.transmission_range = 150.0;
   World world(wp, g_seed);
-  auto proto = make(world);
+  auto proto = make_protocol(protocol, world);
 
   DriverOptions dopt;
   dopt.arrival_interval = 0.8;  // give slow protocols (DAD) room
@@ -127,43 +120,15 @@ int main(int argc, char** argv) {
   g_seed = resolve_seed(/*fallback=*/99, argc, argv);
   std::printf("80 nodes join a 1 km^2 field (tr=150m, 20 m/s), then 20 s of "
               "steady state.\n\n");
+  const std::pair<const char*, const char*> entrants[] = {
+      {"QIP (this paper)", "qip"}, {"MANETconf [1]", "manetconf"},
+      {"Buddy [2]", "buddy"},      {"C-tree [3]", "ctree"},
+      {"DAD [9]", "dad"},          {"WeakDAD [11]", "weakdad"},
+      {"PDAD [14]", "pdad"},       {"Boleng [10]", "boleng"}};
   std::vector<Row> rows;
-  rows.push_back(run_scenario("QIP (this paper)", [](World& w) {
-    auto p = std::make_unique<QipEngine>(w.transport(), w.rng(), QipParams{});
-    p->start_hello();
-    return p;
-  }));
-  rows.push_back(run_scenario("MANETconf [1]", [](World& w) {
-    return std::make_unique<ManetConf>(w.transport(), w.rng());
-  }));
-  rows.push_back(run_scenario("Buddy [2]", [](World& w) {
-    auto p = std::make_unique<BuddyProtocol>(w.transport(), w.rng());
-    p->start_sync();
-    return p;
-  }));
-  rows.push_back(run_scenario("C-tree [3]", [](World& w) {
-    auto p = std::make_unique<CTreeProtocol>(w.transport(), w.rng());
-    p->start_updates();
-    return p;
-  }));
-  rows.push_back(run_scenario("DAD [9]", [](World& w) {
-    return std::make_unique<DadProtocol>(w.transport(), w.rng());
-  }));
-  rows.push_back(run_scenario("WeakDAD [11]", [](World& w) {
-    auto p = std::make_unique<WeakDadProtocol>(w.transport(), w.rng());
-    p->start_updates();
-    return p;
-  }));
-  rows.push_back(run_scenario("PDAD [14]", [](World& w) {
-    auto p = std::make_unique<PdadProtocol>(w.transport(), w.rng());
-    p->start_routing();
-    return p;
-  }));
-  rows.push_back(run_scenario("Boleng [10]", [](World& w) {
-    auto p = std::make_unique<BolengProtocol>(w.transport(), w.rng());
-    p->start_beacons();
-    return p;
-  }));
+  for (const auto& [name, protocol] : entrants) {
+    rows.push_back(run_scenario(name, protocol));
+  }
 
   TextTable table({"protocol", "configured%", "latency (hops)",
                    "config hops/node", "upkeep hops/node/20s"});

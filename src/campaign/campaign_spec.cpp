@@ -1,17 +1,23 @@
 #include "campaign/campaign_spec.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
+#include "addr/ip_address.hpp"
 #include "harness/parallel.hpp"
+#include "harness/protocols.hpp"
 
 namespace qip {
 
 namespace {
+
+constexpr double kMaxDuration = 1e9;
 
 /// Round-trippable double rendering: %.17g re-reads to the identical bits,
 /// so canonical strings digest and parse stably.
@@ -78,12 +84,6 @@ std::uint64_t fnv1a64(const std::string& s) {
   return fnv1a64(s.data(), s.size());
 }
 
-bool known_protocol(const std::string& name) {
-  return name == "qip" || name == "manetconf" || name == "buddy" ||
-         name == "ctree" || name == "dad" || name == "weakdad" ||
-         name == "pdad" || name == "boleng";
-}
-
 std::string CellSpec::canonical() const {
   std::string out = "proto=" + protocol;
   append_u64(out, "nodes", nodes);
@@ -92,6 +92,7 @@ std::string CellSpec::canonical() const {
   append_double(out, "duration", duration);
   append_u64(out, "churn", churn);
   append_double(out, "abrupt", abrupt);
+  append_u64(out, "pool", pool);
   char buf[32];
   std::snprintf(buf, sizeof(buf), " seed=0x%016" PRIx64, seed);
   out += buf;
@@ -100,36 +101,53 @@ std::string CellSpec::canonical() const {
 
 bool CellSpec::parse(const std::string& text, CellSpec* out) {
   CellSpec s;
-  std::string proto;
-  if (!find_field(text, "proto", &proto) || !known_protocol(proto)) {
-    return false;
-  }
-  s.protocol = proto;
   std::uint64_t nodes = 0, churn = 0;
-  if (!parse_u64_field(text, "nodes", &nodes) || nodes == 0 ||
-      nodes > 0xffffffffULL) {
+  if (!find_field(text, "proto", &s.protocol) ||
+      !parse_u64_field(text, "nodes", &nodes) || nodes > 0xffffffffULL ||
+      !parse_double_field(text, "range", &s.range) ||
+      !parse_double_field(text, "speed", &s.speed) ||
+      !parse_double_field(text, "duration", &s.duration) ||
+      !parse_u64_field(text, "churn", &churn) || churn > 0xffffffffULL ||
+      !parse_double_field(text, "abrupt", &s.abrupt) ||
+      !parse_u64_field(text, "pool", &s.pool) ||
+      !parse_u64_field(text, "seed", &s.seed)) {
     return false;
   }
   s.nodes = static_cast<std::uint32_t>(nodes);
-  if (!parse_double_field(text, "range", &s.range) || s.range <= 0) {
-    return false;
-  }
-  if (!parse_double_field(text, "speed", &s.speed) || s.speed < 0) {
-    return false;
-  }
-  if (!parse_double_field(text, "duration", &s.duration) || s.duration < 0) {
-    return false;
-  }
-  if (!parse_u64_field(text, "churn", &churn) || churn > 0xffffffffULL) {
-    return false;
-  }
   s.churn = static_cast<std::uint32_t>(churn);
-  if (!parse_double_field(text, "abrupt", &s.abrupt) || s.abrupt < 0 ||
-      s.abrupt > 1) {
-    return false;
-  }
-  if (!parse_u64_field(text, "seed", &s.seed)) return false;
+  if (!s.validate(nullptr)) return false;
   *out = s;
+  return true;
+}
+
+bool CellSpec::validate(std::string* err) const {
+  auto fail = [&](const std::string& why) {
+    if (err) *err = why;
+    return false;
+  };
+  const auto& names = protocol_names();
+  if (std::find(names.begin(), names.end(), protocol) == names.end()) {
+    return fail("unknown protocol '" + protocol + "'");
+  }
+  if (nodes == 0) return fail("node count must be positive");
+  if (!(range > 0 && std::isfinite(range))) {
+    return fail("transmission range must be positive and finite");
+  }
+  if (!(speed >= 0 && std::isfinite(speed))) {
+    return fail("speed must be non-negative and finite");
+  }
+  // Roam time is cut into ceil(duration) phases; the bound keeps that count
+  // far inside size_t.
+  if (!(duration >= 0 && duration <= kMaxDuration)) {
+    return fail("duration must be in [0, 1e9] seconds");
+  }
+  if (!(abrupt >= 0 && abrupt <= 1)) return fail("abrupt must be in [0,1]");
+  // Pools start at kPoolBase and must end inside IPv4.
+  const std::uint64_t max_pool = 0x100000000ULL - kPoolBase.value();
+  if (pool < 4 || pool > max_pool) {
+    return fail("pool must hold 4 to " + std::to_string(max_pool) +
+                " addresses");
+  }
   return true;
 }
 
@@ -198,21 +216,12 @@ bool CampaignSpec::validate(std::string* err) const {
     return false;
   };
   if (protocols.empty()) return fail("no protocols");
-  for (const std::string& p : protocols) {
-    if (!known_protocol(p)) return fail("unknown protocol '" + p + "'");
-  }
   if (nodes.empty()) return fail("no node counts");
-  for (std::uint32_t n : nodes) {
-    if (n == 0) return fail("node count must be positive");
-  }
   if (ranges.empty()) return fail("no transmission ranges");
-  for (double r : ranges) {
-    if (!(r > 0)) return fail("transmission range must be positive");
-  }
-  if (!(speed >= 0)) return fail("speed must be non-negative");
-  if (!(duration >= 0)) return fail("duration must be non-negative");
-  if (!(abrupt >= 0 && abrupt <= 1)) return fail("abrupt must be in [0,1]");
   if (seeds == 0) return fail("seeds must be positive");
+  for (const CellSpec& cell : expand()) {
+    if (!cell.validate(err)) return false;
+  }
   return true;
 }
 

@@ -32,12 +32,18 @@ struct CellSpec {
   double duration = 2.0;       ///< post-bringup roam time, seconds
   std::uint32_t churn = 0;     ///< departure+replacement events
   double abrupt = 0.2;         ///< fraction of departures that are abrupt
+  std::uint64_t pool = 1024;   ///< addresses in the protocol's pool
   std::uint64_t seed = 0;
 
   std::string canonical() const;
   /// Inverse of canonical(); returns false (and leaves *out unspecified) on
-  /// any malformed or missing field.
+  /// any malformed or missing field, or a cell validate() rejects.
   static bool parse(const std::string& text, CellSpec* out);
+
+  /// Rejects unknown protocol names and out-of-range parameters; returns
+  /// false and stores a message in *err.  The one check behind qip-sim's
+  /// flags, the campaign grid and parse().
+  bool validate(std::string* err) const;
 
   bool operator==(const CellSpec& other) const = default;
 };
@@ -77,8 +83,5 @@ struct CampaignSpec {
 std::uint64_t fnv1a64(const void* data, std::size_t len,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
 std::uint64_t fnv1a64(const std::string& s);
-
-/// Protocol names run_cell understands (the qip-sim set).
-bool known_protocol(const std::string& name);
 
 }  // namespace qip

@@ -107,7 +107,8 @@ void CampaignRunner::run_cell_child(std::size_t idx, std::uint32_t attempt) {
   std::string trail = "spec " + spec.canonical() + "\n";
   trail += "attempt " + std::to_string(attempt) + "\n";
   try {
-    CellRunner runner(spec);
+    SimContext ctx;
+    CellRunner runner(spec, ctx);
     while (runner.phases_run() < runner.phase_count()) {
       runner.run_phase();
       char line[64];

@@ -5,83 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <stdexcept>
 
-#include "baselines/boleng.hpp"
-#include "baselines/buddy.hpp"
-#include "baselines/ctree.hpp"
-#include "baselines/dad.hpp"
-#include "baselines/manetconf.hpp"
-#include "baselines/pdad.hpp"
-#include "baselines/weak_dad.hpp"
-#include "core/qip_engine.hpp"
+#include "harness/protocols.hpp"
 
 namespace qip {
 
 namespace {
-
-constexpr std::uint64_t kPoolSize = 1024;
-
-std::unique_ptr<AutoconfProtocol> make_protocol(const std::string& name,
-                                                World& world) {
-  if (name == "qip") {
-    QipParams p;
-    p.pool_size = kPoolSize;
-    auto proto =
-        std::make_unique<QipEngine>(world.transport(), world.rng(), p);
-    proto->start_hello();
-    return proto;
-  }
-  if (name == "manetconf") {
-    ManetConfParams p;
-    p.pool_size = kPoolSize;
-    return std::make_unique<ManetConf>(world.transport(), world.rng(), p);
-  }
-  if (name == "buddy") {
-    BuddyParams p;
-    p.pool_size = kPoolSize;
-    auto proto =
-        std::make_unique<BuddyProtocol>(world.transport(), world.rng(), p);
-    proto->start_sync();
-    return proto;
-  }
-  if (name == "ctree") {
-    CTreeParams p;
-    p.pool_size = kPoolSize;
-    auto proto =
-        std::make_unique<CTreeProtocol>(world.transport(), world.rng(), p);
-    proto->start_updates();
-    return proto;
-  }
-  if (name == "dad") {
-    DadParams p;
-    p.pool_size = kPoolSize;
-    return std::make_unique<DadProtocol>(world.transport(), world.rng(), p);
-  }
-  if (name == "weakdad") {
-    WeakDadParams p;
-    p.pool_size = kPoolSize;
-    auto proto =
-        std::make_unique<WeakDadProtocol>(world.transport(), world.rng(), p);
-    proto->start_updates();
-    return proto;
-  }
-  if (name == "pdad") {
-    PdadParams p;
-    p.pool_size = kPoolSize;
-    auto proto =
-        std::make_unique<PdadProtocol>(world.transport(), world.rng(), p);
-    proto->start_routing();
-    return proto;
-  }
-  if (name == "boleng") {
-    auto proto =
-        std::make_unique<BolengProtocol>(world.transport(), world.rng());
-    proto->start_beacons();
-    return proto;
-  }
-  throw std::invalid_argument("unknown protocol '" + name + "'");
-}
 
 void digest_u64(std::uint64_t& h, std::uint64_t v) {
   h = fnv1a64(&v, sizeof(v), h);
@@ -95,13 +24,12 @@ void digest_double(std::uint64_t& h, double v) {
 
 }  // namespace
 
-CellRunner::CellRunner(const CellSpec& spec) : spec_(spec) {
-  ctx_ = std::make_unique<SimContext>();
+CellRunner::CellRunner(const CellSpec& spec, SimContext& ctx) : spec_(spec) {
   WorldParams wp;
   wp.transmission_range = spec.range;
   wp.speed = spec.speed;
-  world_ = std::make_unique<World>(wp, spec.seed, *ctx_);
-  proto_ = make_protocol(spec.protocol, *world_);
+  world_ = std::make_unique<World>(wp, spec.seed, ctx);
+  proto_ = make_protocol(spec.protocol, *world_, spec.pool);
   driver_ = std::make_unique<Driver>(*world_, *proto_);
   roam_slices_ = spec.duration > 0
                      ? static_cast<std::size_t>(std::ceil(spec.duration))
@@ -115,8 +43,7 @@ void CellRunner::run_phase() {
   QIP_ASSERT_MSG(phases_run_ < phase_count_, "cell already complete");
   const std::size_t phase = phases_run_;
   if (phase == 0) {
-    // Bringup: sequential arrivals, then a settle window (the qip-sim
-    // choreography).
+    // Bringup: sequential arrivals, then a settle window.
     driver_->join(spec_.nodes);
     world_->run_for(2.0);
   } else if (phase <= spec_.churn) {

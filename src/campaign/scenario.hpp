@@ -1,11 +1,14 @@
-// One campaign cell as an executable, checkpointable scenario.
+// One campaign cell as an executable, checkpointable scenario.  It is also
+// the qip-sim scenario: qip-sim's single runs and --rounds replicas run on
+// CellRunner, so the CLI and the campaign share one choreography.
 //
-// A CellRunner owns everything one cell needs — SimContext, World, protocol
-// engine, Driver — and exposes the scenario as an ordered sequence of
-// *phases* (bringup, churn steps, roam slices).  Phases are the campaign's
-// checkpoint grain: between phases no host-side control flow is suspended
-// mid-loop, so a snapshot (campaign/snapshot.hpp) can name a phase boundary
-// and a restore can re-materialize the exact state there deterministically.
+// A CellRunner owns everything one cell needs on the SimContext it is
+// given — World, protocol engine, Driver — and exposes the scenario as an
+// ordered sequence of *phases* (bringup, churn steps, roam slices).  Phases
+// are the campaign's checkpoint grain: between phases no host-side control
+// flow is suspended mid-loop, so a snapshot (campaign/snapshot.hpp) can name
+// a phase boundary and a restore can re-materialize the exact state there
+// deterministically.
 //
 // state_digest() folds every piece of observable simulation state — sim
 // clock, event counts, the world's RNG stream, message accounting, per-node
@@ -45,13 +48,15 @@ struct CellResult {
 class CellRunner {
  public:
   /// Builds the world (seeded with the cell seed) and engine for `spec` on
-  /// a fresh SimContext.  Throws std::invalid_argument on an unknown
-  /// protocol name.
-  explicit CellRunner(const CellSpec& spec);
+  /// `ctx`, which must outlive the runner.  Throws std::invalid_argument on
+  /// an unknown protocol name.
+  CellRunner(const CellSpec& spec, SimContext& ctx);
   ~CellRunner();
 
   const CellSpec& spec() const { return spec_; }
   World& world() { return *world_; }
+  const AutoconfProtocol& protocol() const { return *proto_; }
+  const Driver& driver() const { return *driver_; }
 
   /// Phase layout: [0] bringup (join all + settle), [1..churn] one
   /// departure+replacement each, then roam slices of <= 1 s of simulated
@@ -74,7 +79,6 @@ class CellRunner {
 
  private:
   CellSpec spec_;
-  std::unique_ptr<SimContext> ctx_;
   std::unique_ptr<World> world_;
   std::unique_ptr<AutoconfProtocol> proto_;
   std::unique_ptr<Driver> driver_;

@@ -150,8 +150,9 @@ std::optional<Snapshot> load_snapshot(const std::string& path,
 }
 
 std::unique_ptr<CellRunner> restore_snapshot(const Snapshot& snap,
+                                             SimContext& ctx,
                                              std::string* err) {
-  auto runner = std::make_unique<CellRunner>(snap.spec);
+  auto runner = std::make_unique<CellRunner>(snap.spec, ctx);
   if (snap.phase > runner->phase_count()) {
     fail(err, "snapshot phase out of range for this spec");
     return nullptr;

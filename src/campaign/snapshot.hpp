@@ -60,10 +60,11 @@ std::optional<Snapshot> load_snapshot(const std::string& path,
                                       std::string* err = nullptr);
 
 /// Re-materializes the simulation the snapshot describes (see file comment)
-/// and verifies every saved field against the replayed state.  Returns null
-/// with a diagnostic in *err on any divergence — the caller decides whether
-/// to fall back to a fresh run.
+/// on `ctx` and verifies every saved field against the replayed state.
+/// Returns null with a diagnostic in *err on any divergence — the caller
+/// decides whether to fall back to a fresh run.
 std::unique_ptr<CellRunner> restore_snapshot(const Snapshot& snap,
+                                             SimContext& ctx,
                                              std::string* err = nullptr);
 
 }  // namespace qip

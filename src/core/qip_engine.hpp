@@ -50,7 +50,7 @@
 namespace qip {
 
 class AdversaryController;
-class FailureDetector;
+class SwimDetector;
 enum class AttackKind : std::uint8_t;
 
 class QipEngine : public AutoconfProtocol {
@@ -129,14 +129,13 @@ class QipEngine : public AutoconfProtocol {
 
   // -- Adversary hardening (qip_hardening.cpp, docs/ADVERSARY.md) -----------
 
-  /// Installs a pluggable failure detector (not owned; must outlive the
-  /// engine's run).  The engine feeds each head's QDSet watch-list into it
-  /// every hello scan and treats a suspected member as uncontactable.  With
-  /// no detector the built-in topology oracle stands alone, and the run is
+  /// Installs a SWIM failure detector (not owned; must outlive the engine's
+  /// run).  The engine feeds each head's QDSet watch-list into it every
+  /// hello scan and treats a suspected member as uncontactable.  With no
+  /// detector the built-in topology oracle stands alone, and the run is
   /// byte-identical to one that never called this.  Wires the detector's
-  /// evidence callbacks (beacon hearing / probe service) to engine state.
-  void set_failure_detector(FailureDetector* detector);
-  FailureDetector* failure_detector() { return detector_; }
+  /// responder to serves_probes().
+  void set_failure_detector(SwimDetector* detector);
 
   /// Whether `id` currently answers detector probe pings: configured, radio
   /// up, and not silently defecting.  SwimDetector's responder callback.
@@ -342,7 +341,7 @@ class QipEngine : public AutoconfProtocol {
   EventHandle hello_timer_;
   bool hello_running_ = false;
   TraceSink trace_;
-  FailureDetector* detector_ = nullptr;
+  SwimDetector* detector_ = nullptr;
   std::set<NodeId> quarantined_;
   std::uint64_t quarantines_ = 0;
   std::uint64_t challenges_sent_ = 0;

@@ -58,23 +58,11 @@ bool QipEngine::serves_probes(NodeId id) const {
   return !attack_active(id, AttackKind::kSilentDefection);
 }
 
-void QipEngine::set_failure_detector(FailureDetector* detector) {
+void QipEngine::set_failure_detector(SwimDetector* detector) {
   detector_ = detector;
   if (detector_ == nullptr) return;
-  if (auto* ht = dynamic_cast<HelloTimeoutDetector*>(detector_)) {
-    // Beacon evidence: hellos are delivered in aggregate (hello_tick), so
-    // "heard" is exactly what the per-beacon model would conclude — the
-    // peer is configured, placed, radio up and reachable.  Note a silent
-    // defector satisfies all four: this detector cannot catch it.
-    ht->set_heard([this](NodeId observer, NodeId peer) {
-      return alive(peer) && nodes_.at(peer).role != Role::kUnconfigured &&
-             topology().has_node(peer) && transport().radio_up(peer) &&
-             topology().reachable(observer, peer);
-    });
-  }
-  if (auto* sw = dynamic_cast<SwimDetector*>(detector_)) {
-    sw->set_responder([this](NodeId target) { return serves_probes(target); });
-  }
+  detector_->set_responder(
+      [this](NodeId target) { return serves_probes(target); });
 }
 
 // ---------------------------------------------------------------------------

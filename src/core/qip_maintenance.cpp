@@ -149,7 +149,7 @@ void QipEngine::head_neighborhood_scan(NodeId head) {
   auto& st = node(head);
 
   // 1. Liveness of current QDSet members.  The topology oracle is the
-  // paper's crash-only detector; an installed FailureDetector layers
+  // paper's crash-only detector; an installed SwimDetector layers
   // *service* evidence on top — a member the oracle can reach but the
   // detector cannot raise is treated as missing (and, hardened, expelled:
   // reachable-but-silent is exactly what a silent defector looks like).

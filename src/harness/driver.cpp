@@ -19,24 +19,14 @@ Driver::Driver(World& world, AutoconfProtocol& proto, DriverOptions options)
   }
 }
 
-NodeId Driver::join_at(const Point& position) {
+NodeId Driver::enter(const Point* position) {
   const NodeId id = next_id_++;
-  world_.topology().add_node(id, position);
-  proto_.node_entered(id);
-  world_.run_for(options_.arrival_interval);
-  if (options_.mobility && proto_.configured(id)) {
-    world_.mobility().add(id, world_.params().speed);
-  }
-  members_.push_back(id);
-  return id;
-}
-
-NodeId Driver::join_one() {
-  const NodeId id = next_id_++;
-  if (options_.connected_arrivals && world_.topology().node_count() > 0) {
+  Topology& topo = world_.topology();
+  if (position != nullptr) {
+    topo.add_node(id, *position);
+  } else if (options_.connected_arrivals && topo.node_count() > 0) {
     // Rejection-sample until the newcomer hears at least one existing node;
     // give up after a bounded number of tries (very sparse networks).
-    Topology& topo = world_.topology();
     for (int tries = 0; tries < 200; ++tries) {
       const Point p = topo.area().sample(world_.rng());
       if (topo.covered(p)) {
@@ -49,15 +39,25 @@ NodeId Driver::join_one() {
     world_.place_random(id);
   }
   proto_.node_entered(id);
+  members_.push_back(id);
+  return id;
+}
+
+NodeId Driver::arrive(NodeId id) {
   world_.run_for(options_.arrival_interval);
   if (options_.mobility && proto_.configured(id)) {
     // §VI-A: nodes move "to a random destination ... after its configuration
     // with the network".
     world_.mobility().add(id, world_.params().speed);
   }
-  members_.push_back(id);
   return id;
 }
+
+NodeId Driver::join_at(const Point& position) {
+  return arrive(enter(&position));
+}
+
+NodeId Driver::join_one() { return arrive(enter(nullptr)); }
 
 std::vector<NodeId> Driver::join(std::uint32_t n) {
   std::vector<NodeId> out;
@@ -66,25 +66,49 @@ std::vector<NodeId> Driver::join(std::uint32_t n) {
   return out;
 }
 
-void Driver::remove_from_members(NodeId id) {
-  auto it = std::find(members_.begin(), members_.end(), id);
-  QIP_ASSERT_MSG(it != members_.end(), "node " << id << " not a member");
-  members_.erase(it);
+void Driver::join_wave(std::uint32_t count) {
+  for (std::uint32_t i = 0; i < count; ++i) enter(nullptr);
 }
 
-void Driver::depart_graceful(NodeId id) {
-  remove_from_members(id);
-  proto_.node_departing(id);
-  world_.run_for(options_.departure_settle);
+void Driver::drop_members(std::vector<NodeId> leavers) {
+  std::sort(leavers.begin(), leavers.end());
+  const auto kept = std::remove_if(
+      members_.begin(), members_.end(), [&leavers](NodeId id) {
+        return std::binary_search(leavers.begin(), leavers.end(), id);
+      });
+  QIP_ASSERT_MSG(static_cast<std::size_t>(members_.end() - kept) ==
+                     leavers.size(),
+                 "a departing node is not a member, or departs twice");
+  members_.erase(kept, members_.end());
+}
+
+void Driver::remove_node(NodeId id) {
   if (world_.mobility().manages(id)) world_.mobility().remove(id);
   if (world_.topology().has_node(id)) world_.topology().remove_node(id);
-  proto_.node_left(id);
 }
+
+void Driver::depart(std::span<const NodeId> graceful,
+                    std::span<const NodeId> abrupt) {
+  std::vector<NodeId> leavers(graceful.begin(), graceful.end());
+  leavers.insert(leavers.end(), abrupt.begin(), abrupt.end());
+  drop_members(std::move(leavers));
+  for (NodeId id : graceful) proto_.node_departing(id);
+  world_.run_for(options_.departure_settle);
+  for (NodeId id : graceful) {
+    remove_node(id);
+    proto_.node_left(id);
+  }
+  for (NodeId id : abrupt) {
+    remove_node(id);
+    proto_.node_vanished(id);
+  }
+}
+
+void Driver::depart_graceful(NodeId id) { depart({&id, 1}, {}); }
 
 void Driver::depart_abrupt(NodeId id) {
-  remove_from_members(id);
-  if (world_.mobility().manages(id)) world_.mobility().remove(id);
-  if (world_.topology().has_node(id)) world_.topology().remove_node(id);
+  drop_members({id});
+  remove_node(id);
   proto_.node_vanished(id);
 }
 

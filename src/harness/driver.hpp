@@ -3,11 +3,14 @@
 //
 // Implements the harness side of AutoconfProtocol's lifecycle contract —
 // sequential arrivals, post-configuration mobility, graceful departures with
-// a settle window, and abrupt departures (silent removal).
+// a settle window, and abrupt departures (silent removal) — plus the batched
+// arrival and departure waves of the city-scale scenario (bench/fig_metro).
+// This is the only code that calls the contract's lifecycle hooks.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "harness/auditor.hpp"
@@ -57,10 +60,22 @@ class Driver {
   /// Sequentially joins `n` nodes.  Returns their ids.
   std::vector<NodeId> join(std::uint32_t n);
 
-  /// Graceful departure: protocol farewell, settle window, then removal.
+  /// Arrival wave: places `count` nodes the way join_one() does and starts
+  /// every configuration at once, without running the world.  Wave members
+  /// never join mobility: none is configured yet when the wave returns.
+  void join_wave(std::uint32_t count);
+
+  /// Departure wave: farewells from every `graceful` node, one
+  /// departure_settle window (run even when `graceful` is empty), then the
+  /// graceful nodes leave and the `abrupt` ones vanish without a message.
+  void depart(std::span<const NodeId> graceful,
+              std::span<const NodeId> abrupt);
+
+  /// Graceful departure of one node: depart({id}, {}).
   void depart_graceful(NodeId id);
 
-  /// Abrupt departure: the node vanishes without any message.
+  /// Abrupt departure: the node vanishes without any message, and no
+  /// settle window runs.
   void depart_abrupt(NodeId id);
 
   /// Ids of nodes currently in the network, sorted.
@@ -76,7 +91,15 @@ class Driver {
   std::uint32_t joined_count() const { return next_id_; }
 
  private:
-  void remove_from_members(NodeId id);
+  /// Adds the next node to the topology (at `position`, or placed as
+  /// join_one() places it), announces it and records it as a member.
+  NodeId enter(const Point* position);
+  /// Runs the arrival interval, then starts a configured newcomer moving.
+  NodeId arrive(NodeId id);
+  /// Drops `leavers` from members() in one pass; each must be a member.
+  void drop_members(std::vector<NodeId> leavers);
+  /// Takes a departing node out of mobility and the topology.
+  void remove_node(NodeId id);
 
   World& world_;
   AutoconfProtocol& proto_;

@@ -4,12 +4,11 @@
 #include <set>
 #include <sstream>
 
-#include "baselines/buddy.hpp"
 #include "baselines/ctree.hpp"
-#include "baselines/manetconf.hpp"
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/parallel.hpp"
+#include "harness/protocols.hpp"
 #include "harness/world.hpp"
 #include "sim/sim_context.hpp"
 #include "util/env.hpp"
@@ -35,20 +34,6 @@ std::unique_ptr<QipEngine> make_qip_params(World& w, const QipParams& base) {
   p.pool_size = kPoolSize;
   auto proto = std::make_unique<QipEngine>(w.transport(), w.rng(), p);
   proto->start_hello();
-  return proto;
-}
-
-std::unique_ptr<ManetConf> make_manetconf(World& w) {
-  ManetConfParams p;
-  p.pool_size = kPoolSize;
-  return std::make_unique<ManetConf>(w.transport(), w.rng(), p);
-}
-
-std::unique_ptr<BuddyProtocol> make_buddy(World& w) {
-  BuddyParams p;
-  p.pool_size = kPoolSize;
-  auto proto = std::make_unique<BuddyProtocol>(w.transport(), w.rng(), p);
-  proto->start_sync();
   return proto;
 }
 
@@ -150,8 +135,9 @@ FigureData fig5_config_latency(const ExperimentOptions& opt) {
         CellSamples out(2);
         out[0].push_back(measure_latency(
             150.0, nn, seed, ctx, [](World& w) { return make_qip(w); }));
-        out[1].push_back(measure_latency(
-            150.0, nn, seed, ctx, [](World& w) { return make_manetconf(w); }));
+        out[1].push_back(measure_latency(150.0, nn, seed, ctx, [](World& w) {
+          return make_protocol("manetconf", w, kPoolSize);
+        }));
         return out;
       });
   fig.series = {Series{"QIP", means(stats[0])},
@@ -172,8 +158,9 @@ FigureData fig6_latency_vs_range(const ExperimentOptions& opt) {
         out[0].push_back(measure_latency(
             fig.x[xi], 100, seed, ctx, [](World& w) { return make_qip(w); }));
         out[1].push_back(
-            measure_latency(fig.x[xi], 100, seed, ctx,
-                            [](World& w) { return make_manetconf(w); }));
+            measure_latency(fig.x[xi], 100, seed, ctx, [](World& w) {
+              return make_protocol("manetconf", w, kPoolSize);
+            }));
         return out;
       });
   fig.series = {Series{"QIP", means(stats[0])},
@@ -265,10 +252,9 @@ FigureData fig8_config_overhead(const ExperimentOptions& opt) {
             measure_overhead(nn, seed, ctx,
                              [](World& w) { return make_qip(w); })
                 .config_per_node);
-        out[1].push_back(
-            measure_overhead(nn, seed, ctx,
-                             [](World& w) { return make_buddy(w); })
-                .config_per_node);
+        out[1].push_back(measure_overhead(nn, seed, ctx, [](World& w) {
+                           return make_protocol("buddy", w, kPoolSize);
+                         }).config_per_node);
         return out;
       });
   fig.series = {Series{"QIP", means(stats[0])},
@@ -291,10 +277,9 @@ FigureData fig9_departure_overhead(const ExperimentOptions& opt) {
             measure_overhead(nn, seed, ctx,
                              [](World& w) { return make_qip(w); })
                 .departure_per_node);
-        out[1].push_back(
-            measure_overhead(nn, seed, ctx,
-                             [](World& w) { return make_buddy(w); })
-                .departure_per_node);
+        out[1].push_back(measure_overhead(nn, seed, ctx, [](World& w) {
+                           return make_protocol("buddy", w, kPoolSize);
+                         }).departure_per_node);
         return out;
       });
   fig.series = {Series{"QIP", means(stats[0])},

@@ -3,51 +3,8 @@
 #include <algorithm>
 
 #include "net/transport.hpp"
-#include "sim/simulator.hpp"
 
 namespace qip {
-
-// ---------------------------------------------------------------- hello ----
-
-HelloTimeoutDetector::HelloTimeoutDetector(Simulator& sim, SimTime timeout)
-    : sim_(sim), timeout_(timeout) {}
-
-void HelloTimeoutDetector::observe(NodeId observer,
-                                   const std::vector<NodeId>& peers) {
-  const SimTime now = sim_.now();
-  for (NodeId peer : peers) {
-    if (peer == observer) continue;
-    const auto key = std::make_pair(observer, peer);
-    auto it = last_heard_.find(key);
-    if (it == last_heard_.end()) {
-      last_heard_.emplace(key, now);  // fresh entry: full grace period
-      continue;
-    }
-    if (heard_ && heard_(observer, peer)) it->second = now;
-  }
-}
-
-bool HelloTimeoutDetector::suspects(NodeId observer, NodeId peer) const {
-  const auto it = last_heard_.find(std::make_pair(observer, peer));
-  if (it == last_heard_.end()) return false;
-  return sim_.now() - it->second > timeout_;
-}
-
-void HelloTimeoutDetector::clear(NodeId observer, NodeId peer) {
-  // Re-observed later, the pair re-stamps fresh and gets a full grace.
-  last_heard_.erase(std::make_pair(observer, peer));
-}
-
-void HelloTimeoutDetector::forget(NodeId peer) {
-  for (auto it = last_heard_.begin(); it != last_heard_.end();) {
-    if (it->first.first == peer || it->first.second == peer)
-      it = last_heard_.erase(it);
-    else
-      ++it;
-  }
-}
-
-// ----------------------------------------------------------------- swim ----
 
 SwimDetector::SwimDetector(Transport& transport)
     : SwimDetector(transport, Params{}) {}

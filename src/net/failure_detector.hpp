@@ -1,4 +1,4 @@
-// Pluggable failure detection for replica-group liveness.
+// Failure detection for replica-group liveness.
 //
 // The paper's quorum maintenance (§V-B) assumes a head "detects" an
 // uncontactable member through missed hellos and shrinks the quorum set.
@@ -7,28 +7,21 @@
 // blind to Byzantine silence: an attacker that keeps beaconing while
 // dropping every service message looks perfectly alive to it.
 //
-// A FailureDetector closes that gap.  The protocol feeds each observer's
-// watch-list into observe() once per maintenance tick and consults
-// suspects() before trusting a peer.  Two implementations ship:
+// SwimDetector closes that gap with SWIM-style probing (ping, then ping-req
+// through k proxies, then a confirmed miss).  It detects dropped *service*,
+// not dropped *beacons*: a defector that answers hellos but ignores pings
+// accumulates misses and is suspected within a few probe rounds.  The
+// protocol feeds each observer's watch-list into observe() once per
+// maintenance tick and consults suspects() before trusting a peer.
 //
-//   * HelloTimeoutDetector — the baseline the paper implies: a peer not
-//     heard from within `timeout` is suspected.  Equivalent to the oracle
-//     on fault-free runs (tests/failure_detector_test.cpp asserts this);
-//     cannot catch a silent defector, because defectors still beacon.
-//   * SwimDetector — SWIM-style probing (ping, then ping-req through k
-//     proxies, then a confirmed miss).  Detects dropped *service*, not
-//     dropped *beacons*: a defector that answers hellos but ignores pings
-//     accumulates misses and is suspected within a few probe rounds.
-//
-// Both are deterministic: no randomness, round-robin target choice over the
-// sorted watch-list, proxies picked in sorted order.  A detector must
-// outlive every simulator event it schedules (in practice: the World).
+// Deterministic: no randomness, round-robin target choice over the sorted
+// watch-list, proxies picked in sorted order.  The detector must outlive
+// every simulator event it schedules (in practice: the World).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -37,67 +30,7 @@
 
 namespace qip {
 
-class Simulator;
 class Transport;
-
-class FailureDetector {
- public:
-  virtual ~FailureDetector() = default;
-
-  /// Identifier for traces, bench tables and test output.
-  virtual const char* name() const = 0;
-
-  /// One maintenance tick for `observer`: `peers` is its current watch-list
-  /// (replica-group members it expects to be alive).  Called with the list
-  /// the protocol's own beacon exchange vouches for; implementations may
-  /// passively stamp it or actively probe it.
-  virtual void observe(NodeId observer, const std::vector<NodeId>& peers) = 0;
-
-  /// Whether `observer` currently suspects `peer` of being dead (or of
-  /// having silently stopped serving).
-  virtual bool suspects(NodeId observer, NodeId peer) const = 0;
-
-  /// Drops only what `observer` holds against `peer`.  The protocol calls
-  /// this while its own (crash-level) evidence says the peer is unreachable:
-  /// probe silence accumulated across an outage is uninterpretable, and
-  /// keeping it would condemn an honest peer the moment it drifts back into
-  /// range on stale misses.
-  virtual void clear(NodeId observer, NodeId peer) = 0;
-
-  /// Drops all state about `peer` — it departed, or was evicted and must be
-  /// re-evaluated from scratch if it ever returns.
-  virtual void forget(NodeId peer) = 0;
-};
-
-/// Baseline: suspect a peer not heard from within `timeout` seconds.  The
-/// protocol reports "heard" peers through the `heard` predicate (installed
-/// by the engine; defaults to nobody-heard) so the detector itself stays
-/// free of topology knowledge.
-class HelloTimeoutDetector : public FailureDetector {
- public:
-  using HeardFn = std::function<bool(NodeId observer, NodeId peer)>;
-
-  explicit HelloTimeoutDetector(Simulator& sim, SimTime timeout = 3.0);
-
-  /// Installs the beacon evidence source: returns true when `observer` can
-  /// currently hear `peer`'s hellos.  The engine wires this to its own
-  /// beacon model (alive + in-topology + reachable).
-  void set_heard(HeardFn fn) { heard_ = std::move(fn); }
-
-  const char* name() const override { return "hello_timeout"; }
-  void observe(NodeId observer, const std::vector<NodeId>& peers) override;
-  bool suspects(NodeId observer, NodeId peer) const override;
-  void clear(NodeId observer, NodeId peer) override;
-  void forget(NodeId peer) override;
-
- private:
-  Simulator& sim_;
-  SimTime timeout_;
-  HeardFn heard_;
-  /// (observer, peer) -> last time peer's beacon was heard (first observe
-  /// stamps unconditionally: a fresh watch entry gets a full grace period).
-  std::map<std::pair<NodeId, NodeId>, SimTime> last_heard_;
-};
 
 /// SWIM-style probing detector (see SNIPPETS.md, snippet 3): each observe()
 /// tick the observer pings one watch-list member round-robin; on a missed
@@ -105,7 +38,7 @@ class HelloTimeoutDetector : public FailureDetector {
 /// with no direct or indirect ack is a confirmed miss, and `confirm_misses`
 /// consecutive misses make the target suspected.  Any successful ack clears
 /// the tally.  Probe traffic is charged as Traffic::kMaintenance.
-class SwimDetector : public FailureDetector {
+class SwimDetector {
  public:
   struct Params {
     SimTime ack_timeout = 0.5;      ///< direct ping ack deadline (s)
@@ -129,11 +62,25 @@ class SwimDetector : public FailureDetector {
 
   const Params& params() const { return params_; }
 
-  const char* name() const override { return "swim"; }
-  void observe(NodeId observer, const std::vector<NodeId>& peers) override;
-  bool suspects(NodeId observer, NodeId peer) const override;
-  void clear(NodeId observer, NodeId peer) override;
-  void forget(NodeId peer) override;
+  /// One maintenance tick for `observer`: `peers` is its current watch-list
+  /// (replica-group members it expects to be alive).  Starts at most one
+  /// probe per observer.
+  void observe(NodeId observer, const std::vector<NodeId>& peers);
+
+  /// Whether `observer` currently suspects `peer` of having died or
+  /// silently stopped serving.
+  bool suspects(NodeId observer, NodeId peer) const;
+
+  /// Drops only what `observer` holds against `peer`.  The protocol calls
+  /// this while its own (crash-level) evidence says the peer is unreachable:
+  /// probe silence accumulated across an outage is uninterpretable, and
+  /// keeping it would condemn an honest peer the moment it drifts back into
+  /// range on stale misses.
+  void clear(NodeId observer, NodeId peer);
+
+  /// Drops all state about `peer` — it departed, or was evicted and must be
+  /// re-evaluated from scratch if it ever returns.
+  void forget(NodeId peer);
 
   /// Confirmed misses currently on record for (observer, peer) — exposed
   /// for tests asserting detection latency.

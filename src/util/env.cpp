@@ -1,6 +1,7 @@
 #include "util/env.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +64,17 @@ std::uint64_t parse_u64(const char* what, const char* text) {
     die(what, text, "an unsigned integer (decimal or 0x-hex)");
   }
   return static_cast<std::uint64_t>(v);
+}
+
+double parse_double(const char* what, const char* text) {
+  if (text == nullptr) text = "";
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v)) {
+    die(what, text, "a finite number");
+  }
+  return v;
 }
 
 bool parse_bool(const char* what, const char* text) {

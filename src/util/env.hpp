@@ -34,6 +34,10 @@ std::uint32_t parse_u32(const char* what, const char* text);
 /// Parses a command-line value with the same strictness as env_u64.
 std::uint64_t parse_u64(const char* what, const char* text);
 
+/// Parses a command-line value as a finite decimal number (the whole text,
+/// no trailing characters); anything else → stderr diagnostic + exit(2).
+double parse_double(const char* what, const char* text);
+
 /// Reads `name` as a switch: on/1/true enable, off/0/false disable
 /// (case-sensitive, matching the documented spellings).  Unset → fallback;
 /// anything else → stderr diagnostic + exit(2).  Used for QIP_AUDIT_TRACE:

@@ -18,6 +18,7 @@
 #include "campaign/scenario.hpp"
 #include "campaign/snapshot.hpp"
 #include "harness/parallel.hpp"
+#include "harness/protocols.hpp"
 
 namespace qip {
 namespace {
@@ -75,11 +76,19 @@ TEST(CampaignSpec, CellCanonicalRoundTrips) {
   spec.duration = 3.75;
   spec.churn = 4;
   spec.abrupt = 0.1;
+  spec.pool = 64;
   spec.seed = 0xdeadbeefcafef00dULL;
   CellSpec parsed;
   ASSERT_TRUE(CellSpec::parse(spec.canonical(), &parsed));
   EXPECT_EQ(parsed, spec);
   EXPECT_EQ(parsed.canonical(), spec.canonical());
+  // A spec line without a pool (an artifact from before the field existed)
+  // is refused, never read as the default pool.
+  std::string old = spec.canonical();
+  const auto at = old.find(" pool=64");
+  ASSERT_NE(at, std::string::npos);
+  old.erase(at, 8);
+  EXPECT_FALSE(CellSpec::parse(old, &parsed));
 }
 
 TEST(CampaignSpec, ValidateRejectsNonsense) {
@@ -290,13 +299,15 @@ TEST_P(SnapshotRoundTrip, SerializeRestoreContinueIsByteIdentical) {
   spec.seed = derive_cell_seed(0x1cdc52007ULL, 0, 0);
 
   // Uninterrupted reference run.
-  CellRunner reference(spec);
+  SimContext reference_ctx;
+  CellRunner reference(spec, reference_ctx);
   reference.run_to_end();
   const std::string want = reference.result().render(spec);
 
   // Interrupted run: stop at a mid-grid phase boundary, snapshot, restore
   // into a fresh runner, continue.
-  CellRunner first(spec);
+  SimContext first_ctx;
+  CellRunner first(spec, first_ctx);
   const std::size_t stop_at = first.phase_count() / 2;
   while (first.phases_run() < stop_at) first.run_phase();
   const std::string path = unique_temp_path("snapshot");
@@ -309,7 +320,8 @@ TEST_P(SnapshotRoundTrip, SerializeRestoreContinueIsByteIdentical) {
   EXPECT_EQ(snap->phase, stop_at);
   EXPECT_EQ(snap->digest, first.state_digest());
 
-  auto restored = restore_snapshot(*snap, &err);
+  SimContext restored_ctx;
+  auto restored = restore_snapshot(*snap, restored_ctx, &err);
   ASSERT_NE(restored, nullptr) << err;
   EXPECT_EQ(restored->state_digest(), first.state_digest());
   restored->run_to_end();
@@ -322,6 +334,30 @@ INSTANTIATE_TEST_SUITE_P(Protocols, SnapshotRoundTrip,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+TEST(CellRunner, HandsOutAddressesOnlyFromItsPool) {
+  for (const std::string& name : protocol_names()) {
+    if (name == "boleng") continue;  // variable-length addresses, no pool
+    CellSpec spec;
+    spec.protocol = name;
+    spec.nodes = 20;
+    spec.duration = 1.0;
+    spec.pool = 64;
+    spec.seed = 11;
+    SimContext ctx;
+    CellRunner runner(spec, ctx);
+    runner.run_to_end();
+    std::uint32_t configured = 0;
+    for (NodeId id = 0; id < runner.driver().joined_count(); ++id) {
+      const ConfigRecord* rec = runner.protocol().config_record(id);
+      if (rec == nullptr || !rec->success) continue;
+      ++configured;
+      EXPECT_GE(rec->address.value(), kPoolBase.value()) << name;
+      EXPECT_LT(rec->address.value(), kPoolBase.value() + 64) << name;
+    }
+    EXPECT_GT(configured, 0u) << name;
+  }
+}
 
 TEST(Snapshot, LoadRejectsCorruptFiles) {
   const std::string path = unique_temp_path("snapshot");
@@ -356,7 +392,8 @@ TEST(Snapshot, RestoreRejectsAMismatchedDigest) {
   spec.nodes = 6;
   spec.duration = 1.0;
   spec.seed = 7;
-  CellRunner runner(spec);
+  SimContext ctx;
+  CellRunner runner(spec, ctx);
   runner.run_phase();
   const std::string path = unique_temp_path("snapshot");
   std::string err;
@@ -364,7 +401,8 @@ TEST(Snapshot, RestoreRejectsAMismatchedDigest) {
   auto snap = load_snapshot(path, &err);
   ASSERT_TRUE(snap.has_value()) << err;
   snap->digest ^= 1;  // claim a different simulation
-  EXPECT_EQ(restore_snapshot(*snap, &err), nullptr);
+  SimContext restored_ctx;
+  EXPECT_EQ(restore_snapshot(*snap, restored_ctx, &err), nullptr);
   EXPECT_NE(err.find("mismatch"), std::string::npos);
   std::remove(path.c_str());
 }

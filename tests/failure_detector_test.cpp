@@ -1,9 +1,9 @@
-// Failure-detector suite (ctest -L adversary): HelloTimeoutDetector and
-// SwimDetector unit mechanics — grace periods, detection latency, the
-// clear()-on-outage contract — plus the engine-level equivalence guarantee:
-// on a fault-free run, none / hello_timeout / swim produce byte-identical
-// configurations with zero suspicions or quarantines (the detectors are
-// pure observers until something actually fails).
+// Failure-detector suite (ctest -L adversary): SwimDetector unit mechanics —
+// detection latency, indirect probing, the clear()-on-outage contract —
+// plus the engine-level equivalence guarantee: on a fault-free run, no
+// detector and swim produce byte-identical configurations with zero
+// suspicions or quarantines (the detector is a pure observer until
+// something actually fails).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -36,62 +36,6 @@ struct DetectorFixture : ::testing::Test {
   MessageStats stats;
   Transport transport{sim, topo, stats, 0.01};
 };
-
-// ---------------------------------------------------------------------------
-// HelloTimeoutDetector
-// ---------------------------------------------------------------------------
-
-TEST_F(DetectorFixture, HelloFreshEntryGetsFullGrace) {
-  HelloTimeoutDetector det(sim, /*timeout=*/3.0);
-  det.observe(0, {1});  // no heard-source installed: nobody is ever heard
-  EXPECT_FALSE(det.suspects(0, 1));
-  sim.run(2.0);
-  EXPECT_FALSE(det.suspects(0, 1));  // inside the grace window
-  sim.run(3.5);
-  EXPECT_TRUE(det.suspects(0, 1));  // 3.5 s of silence > 3 s timeout
-  EXPECT_FALSE(det.suspects(0, 2));  // never watched: no opinion
-}
-
-TEST_F(DetectorFixture, HelloHeardBeaconRefreshesDeadline) {
-  HelloTimeoutDetector det(sim, 3.0);
-  bool beaconing = true;
-  det.set_heard([&](NodeId, NodeId) { return beaconing; });
-  det.observe(0, {1});
-  sim.run(2.0);
-  det.observe(0, {1});  // heard at t=2: deadline moves to t=5
-  sim.run(4.0);
-  EXPECT_FALSE(det.suspects(0, 1));
-  beaconing = false;
-  det.observe(0, {1});  // silent: no refresh
-  sim.run(5.5);
-  EXPECT_TRUE(det.suspects(0, 1));  // > 3 s past the t=2 refresh
-}
-
-TEST_F(DetectorFixture, HelloClearRestoresGrace) {
-  HelloTimeoutDetector det(sim, 3.0);
-  det.observe(0, {1});
-  sim.run(4.0);
-  ASSERT_TRUE(det.suspects(0, 1));
-  // The protocol clears the pair while its oracle says the peer is
-  // unreachable: silence across an outage is not evidence.
-  det.clear(0, 1);
-  EXPECT_FALSE(det.suspects(0, 1));
-  det.observe(0, {1});  // re-observed: stamps fresh
-  sim.run(6.0);
-  EXPECT_FALSE(det.suspects(0, 1));  // 2 s into a brand-new grace period
-}
-
-TEST_F(DetectorFixture, HelloForgetDropsBothDirections) {
-  HelloTimeoutDetector det(sim, 3.0);
-  det.observe(0, {1});
-  det.observe(1, {0});
-  sim.run(4.0);
-  ASSERT_TRUE(det.suspects(0, 1));
-  ASSERT_TRUE(det.suspects(1, 0));
-  det.forget(1);
-  EXPECT_FALSE(det.suspects(0, 1));
-  EXPECT_FALSE(det.suspects(1, 0));
-}
 
 // ---------------------------------------------------------------------------
 // SwimDetector
@@ -221,12 +165,9 @@ TEST_F(DetectorFixture, SwimRoundRobinCyclesThroughWatchList) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: on a fault-free run the detector choice is
-// invisible — same addresses, no suspicion, no quarantine, for all three of
-// none / hello_timeout / swim.
+// Engine-level equivalence: on a fault-free run the detector is invisible —
+// same addresses, no suspicion, no quarantine, with and without swim.
 // ---------------------------------------------------------------------------
-
-enum class DetectorKind { kNone, kHello, kSwim };
 
 struct EquivalenceResult {
   std::map<NodeId, IpAddress> addresses;
@@ -235,7 +176,7 @@ struct EquivalenceResult {
   std::uint64_t challenges = 0;
 };
 
-EquivalenceResult run_with_detector(DetectorKind kind) {
+EquivalenceResult run_with_detector(bool swim_on) {
   WorldParams wp;
   wp.transmission_range = 150.0;
   wp.area_side = 500.0;
@@ -243,10 +184,8 @@ EquivalenceResult run_with_detector(DetectorKind kind) {
   QipParams qp;
   qp.harden.enabled = true;  // full hardening path active, nothing to harden
   QipEngine proto(world.transport(), world.rng(), qp);
-  HelloTimeoutDetector hello(world.sim());
   SwimDetector swim(world.transport());
-  if (kind == DetectorKind::kHello) proto.set_failure_detector(&hello);
-  if (kind == DetectorKind::kSwim) proto.set_failure_detector(&swim);
+  if (swim_on) proto.set_failure_detector(&swim);
   proto.start_hello();
   Driver d(world, proto);
   d.join(40);
@@ -261,19 +200,16 @@ EquivalenceResult run_with_detector(DetectorKind kind) {
 }
 
 TEST(DetectorEquivalence, FaultFreeRunIsIdenticalAcrossDetectors) {
-  const EquivalenceResult none = run_with_detector(DetectorKind::kNone);
-  const EquivalenceResult hello = run_with_detector(DetectorKind::kHello);
-  const EquivalenceResult swim = run_with_detector(DetectorKind::kSwim);
+  const EquivalenceResult none = run_with_detector(false);
+  const EquivalenceResult swim = run_with_detector(true);
 
   EXPECT_EQ(none.configured, 1.0);
-  for (const EquivalenceResult* r : {&none, &hello, &swim}) {
+  for (const EquivalenceResult* r : {&none, &swim}) {
     EXPECT_EQ(r->quarantines, 0u);
     EXPECT_EQ(r->challenges, 0u);
   }
   // Probe traffic differs; protocol decisions must not.
-  EXPECT_EQ(none.addresses, hello.addresses);
   EXPECT_EQ(none.addresses, swim.addresses);
-  EXPECT_EQ(none.configured, hello.configured);
   EXPECT_EQ(none.configured, swim.configured);
 }
 

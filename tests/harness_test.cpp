@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <vector>
 
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
@@ -62,6 +63,48 @@ TEST(Driver, MembersTrackJoinsAndDepartures) {
   EXPECT_FALSE(world.topology().has_node(ids[1]));
   EXPECT_FALSE(world.topology().has_node(ids[3]));
   EXPECT_EQ(driver.joined_count(), 5u);
+}
+
+TEST(Driver, JoinWaveEntersWithoutRunningTheWorld) {
+  World world(WorldParams{}, 19);
+  QipEngine proto(world.transport(), world.rng(), QipParams{});
+  proto.start_hello();
+  Driver driver(world, proto);
+  driver.join(3);
+  driver.depart_abrupt(1);
+  const SimTime before = world.sim().now();
+  driver.join_wave(3);
+  EXPECT_EQ(world.sim().now(), before);
+  EXPECT_EQ(driver.joined_count(), 6u);
+  EXPECT_EQ(driver.members(), (std::vector<NodeId>{0, 2, 3, 4, 5}));
+  for (NodeId id = 3; id < 6; ++id) {
+    EXPECT_TRUE(world.topology().has_node(id));
+  }
+}
+
+TEST(Driver, DepartWaveRunsOneSettleWindow) {
+  World world(WorldParams{}, 20);
+  QipEngine proto(world.transport(), world.rng(), QipParams{});
+  proto.start_hello();
+  DriverOptions dopt;
+  dopt.departure_settle = 0.5;
+  Driver driver(world, proto, dopt);
+  driver.join(8);
+  SimTime before = world.sim().now();
+  const std::vector<NodeId> graceful = {5, 1}, abrupt = {3};
+  driver.depart(graceful, abrupt);
+  EXPECT_EQ(world.sim().now(), before + 0.5);
+  EXPECT_EQ(driver.members(), (std::vector<NodeId>{0, 2, 4, 6, 7}));
+  for (NodeId id : {1u, 3u, 5u}) {
+    EXPECT_FALSE(world.topology().has_node(id));
+  }
+  // A wave with no graceful leaver still runs its settle window.
+  before = world.sim().now();
+  const std::vector<NodeId> last = {6};
+  driver.depart({}, last);
+  EXPECT_EQ(world.sim().now(), before + 0.5);
+  EXPECT_EQ(driver.members(), (std::vector<NodeId>{0, 2, 4, 7}));
+  EXPECT_FALSE(world.topology().has_node(6));
 }
 
 TEST(Driver, ConfiguredFractionAndLatency) {

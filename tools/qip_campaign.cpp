@@ -67,16 +67,6 @@ std::vector<std::string> split_list(const char* what, const std::string& text) {
   return out;
 }
 
-double parse_double(const char* what, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || text.empty()) {
-    std::fprintf(stderr, "%s: '%s' is not a number\n", what, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,7 +89,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--ranges") {
       spec.ranges.clear();
       for (const std::string& r : split_list("--ranges", value())) {
-        spec.ranges.push_back(parse_double("--ranges", r));
+        spec.ranges.push_back(parse_double("--ranges", r.c_str()));
       }
     } else if (arg == "--speed") {
       spec.speed = parse_double("--speed", value());
