@@ -7,6 +7,8 @@
 // sees (components for the auditor, BFS for routing/floods).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 
@@ -14,8 +16,18 @@ using namespace qip;
 
 namespace {
 
+/// The paper's 1 km^2 field up to its 400 nodes.  Larger arms grow the
+/// field at the city's constant density (~9 expected neighbors, the area
+/// formula of qip-benchmark and fig_metro), so their per-query cost reads
+/// against n, not against a denser graph.
+double field_side(std::uint32_t n, double range) {
+  if (n <= 400) return 1000.0;
+  return std::sqrt(n * 3.14159265358979 * range * range / 9.0);
+}
+
 Topology make_topology(std::uint32_t n, double range, Rng& rng) {
-  Topology topo(Rect{1000.0, 1000.0}, range);
+  const double side = field_side(n, range);
+  Topology topo(Rect{side, side}, range);
   for (std::uint32_t i = 0; i < n; ++i)
     topo.add_node(i, topo.area().sample(rng));
   return topo;
@@ -44,7 +56,36 @@ static void BM_HopDistance(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_HopDistance)->Arg(100)->Arg(200);
+BENCHMARK(BM_HopDistance)->Arg(100)->Arg(200)->Arg(4000);
+
+static void BM_Reachable(benchmark::State& state) {
+  // BM_HopDistance's pairs, asking only "connected?": the QDSet liveness
+  // check of every hello scan.
+  Rng rng(6);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Topology topo = make_topology(n, 150.0, rng);
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo.reachable(i % n, (i * 7 + 3) % n));
+    ++i;
+  }
+}
+BENCHMARK(BM_Reachable)->Arg(200)->Arg(4000);
+
+static void BM_RingQuery(benchmark::State& state) {
+  // A 3-hop for_each_within on a current snapshot: the bounded search under
+  // heads_within and nearest_head.
+  Rng rng(9);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Topology topo = make_topology(n, 150.0, rng);
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    std::uint32_t seen = 0;
+    topo.for_each_within(i++ % n, 3, [&](NodeId, std::uint32_t) { ++seen; });
+    benchmark::DoNotOptimize(seen);
+  }
+}
+BENCHMARK(BM_RingQuery)->Arg(200)->Arg(4000);
 
 static void BM_Components(benchmark::State& state) {
   Rng rng(7);
@@ -115,7 +156,7 @@ static void BM_KHopChurn(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_KHopChurn)->Arg(200);
+BENCHMARK(BM_KHopChurn)->Arg(200)->Arg(4000);
 
 static void BM_AuditProbeSteadyState(benchmark::State& state) {
   // The auditor's favourable case: probes fire between movement steps, so

@@ -103,10 +103,12 @@ std::vector<NodeId> ClusterView::heads() const {
 }
 
 std::vector<NodeId> ClusterView::heads_within(NodeId id, std::uint32_t k) const {
+  // One bounded BFS that keeps only the heads: no memoized k-hop set is
+  // built, and only the short head list is sorted.
   std::vector<std::pair<std::uint32_t, NodeId>> found;
-  for (const auto& [node, dist] : topology_->k_hop_view(id, k)) {
-    if (heads_.count(node)) found.emplace_back(dist, node);
-  }
+  topology_->for_each_within(id, k, [&](NodeId node, std::uint32_t dist) {
+    if (dist > 0 && heads_.count(node)) found.emplace_back(dist, node);
+  });
   std::sort(found.begin(), found.end());
   std::vector<NodeId> out;
   out.reserve(found.size());

@@ -83,6 +83,15 @@ std::optional<std::uint32_t> Topology::hop_distance(NodeId from,
   return cache_.hop_distance(graph, *src, *dst);
 }
 
+bool Topology::reachable(NodeId from, NodeId to) const {
+  QIP_ASSERT(has_node(from) && has_node(to));
+  if (from == to) return true;
+  const auto& comps = cache_.components(index_);
+  const auto& graph = cache_.csr(index_);
+  return comps.group_of[graph.slot_of(from)] ==
+         comps.group_of[graph.slot_of(to)];
+}
+
 std::vector<NodeId> Topology::component_of(NodeId id) const {
   return component_view(id);
 }

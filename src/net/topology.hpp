@@ -122,9 +122,10 @@ class Topology {
                [&](std::uint32_t r, std::uint32_t d) { fn(graph.ids[r], d); });
   }
 
-  bool reachable(NodeId from, NodeId to) const {
-    return hop_distance(from, to).has_value();
-  }
+  /// True iff `from` and `to` share a connected component: read off the
+  /// cached partition, where an early-exit BFS would explore the whole
+  /// component whenever the answer is "no" or the two are far apart.
+  bool reachable(NodeId from, NodeId to) const;
 
   /// Members of the connected component containing `id` (includes `id`),
   /// sorted by id.

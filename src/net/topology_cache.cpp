@@ -36,9 +36,11 @@ const std::vector<NodeId>& TopologyCache::neighbors(const GridIndex& index,
 
 void TopologyCache::journal_push(JournalEvent ev) {
   if (journal_overflow_) return;
-  if (journal_.size() >= kMaxJournal) {
-    // Past this point a full rebuild is cheaper than replaying the patch,
-    // so stop recording and let csr() take the rebuild path.
+  // A patch pays a grid query per event, sorts the candidates and then
+  // recomputes their rows; a rebuild recomputes only stale rows.  Once a
+  // quarter of the snapshot is journaled the rebuild is cheaper (caps of
+  // 1/2, 1/4 and 1/8 measure alike), so let csr() take that path.
+  if (4 * journal_.size() >= csr_.live_count) {
     journal_.clear();
     journal_overflow_ = true;
     return;
@@ -148,8 +150,9 @@ void TopologyCache::rebuild_csr(const GridIndex& index) {
 bool TopologyCache::try_patch(const GridIndex& index) {
   if (journal_.empty()) return false;  // untracked mutation: play it safe
   if (csr_.ids.empty() || csr_.rank_tbl.empty()) return false;
-  // Compaction triggers: tombstones slow every dist_ reset, dead pool spans
-  // bloat memory; a full rebuild clears both.
+  // Compaction triggers: tombstoned slots and dead pool spans bloat memory,
+  // and tombstones lengthen the components rebuild's slot scan; a full
+  // rebuild clears both.
   if (csr_.ids.size() - csr_.live_count > csr_.live_count) return false;
   if (pool_garbage_ * 2 > csr_.pool.size() + 1024) return false;
 
@@ -575,33 +578,29 @@ bool TopologyCache::erase_group(std::size_t g, std::size_t* work) {
 }
 
 TopologyCache::ReachOutcome TopologyCache::bounded_reach(NodeId from) {
-  if (stamp_.size() < csr_.ids.size()) stamp_.resize(csr_.ids.size(), 0);
-  const std::uint64_t token = ++stamp_token_;
-  scratch_reach_.clear();
-  bqueue_.clear();
-  const std::uint32_t s0 = csr_.slot_of(from);
-  stamp_[s0] = token;
-  bqueue_.push_back(s0);
-  scratch_reach_.push_back(from);
+  ReachOutcome outcome = ReachOutcome::kExhausted;
   std::size_t found = 0;
-  for (std::size_t head = 0; head < bqueue_.size(); ++head) {
-    const std::uint32_t u = bqueue_[head];
-    for (const NodeId* p = csr_.row_begin(u); p != csr_.row_end(u); ++p) {
-      const std::uint32_t v = csr_.slot_of(*p);
-      if (stamp_[v] == token) continue;
-      stamp_[v] = token;
-      scratch_reach_.push_back(*p);
-      if (std::binary_search(peers_.begin(), peers_.end(), *p)) {
-        if (++found == peers_.size()) return ReachOutcome::kAllFound;
-      }
-      if (scratch_reach_.size() > kSplitVisitBudget) {
-        return ReachOutcome::kBudget;
-      }
-      bqueue_.push_back(v);
-    }
+  scratch_reach_.clear();
+  bfs(csr_, csr_.slot_of(from), kUnreached,
+      [&](std::uint32_t v, std::uint32_t depth) {
+        const NodeId id = csr_.ids[v];
+        scratch_reach_.push_back(id);
+        if (depth == 0) return false;
+        if (std::binary_search(peers_.begin(), peers_.end(), id) &&
+            ++found == peers_.size()) {
+          outcome = ReachOutcome::kAllFound;
+          return true;
+        }
+        if (scratch_reach_.size() > kSplitVisitBudget) {
+          outcome = ReachOutcome::kBudget;
+          return true;
+        }
+        return false;
+      });
+  if (outcome == ReachOutcome::kExhausted) {
+    std::sort(scratch_reach_.begin(), scratch_reach_.end());
   }
-  std::sort(scratch_reach_.begin(), scratch_reach_.end());
-  return ReachOutcome::kExhausted;
+  return outcome;
 }
 
 // -- k-hop -------------------------------------------------------------------
@@ -678,23 +677,13 @@ const std::vector<std::pair<NodeId, std::uint32_t>>& TopologyCache::k_hop(
 std::optional<std::uint32_t> TopologyCache::hop_distance(const Csr& graph,
                                                          std::uint32_t src,
                                                          std::uint32_t dst) {
-  if (src == dst) return 0;
-  dist_.assign(graph.ids.size(), kUnreached);
-  queue_.clear();
-  dist_[src] = 0;
-  queue_.push_back(src);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const std::uint32_t u = queue_[head];
-    const std::uint32_t d = dist_[u];
-    for (const NodeId* p = graph.row_begin(u); p != graph.row_end(u); ++p) {
-      const std::uint32_t v = graph.slot_of(*p);
-      if (dist_[v] != kUnreached) continue;
-      dist_[v] = d + 1;
-      if (v == dst) return d + 1;
-      queue_.push_back(v);
-    }
-  }
-  return std::nullopt;
+  std::optional<std::uint32_t> found;
+  bfs(graph, src, kUnreached, [&](std::uint32_t v, std::uint32_t d) {
+    if (v != dst) return false;
+    found = d;
+    return true;
+  });
+  return found;
 }
 
 }  // namespace qip

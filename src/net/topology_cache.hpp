@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -153,25 +154,40 @@ class TopologyCache {
 
   /// BFS from slot `src`, bounded at `max_depth` hops (kUnreached = none),
   /// calling `fn(slot, depth)` for the source (depth 0) and then for every
-  /// discovered node in discovery order.  Rows are id-ascending and slots
-  /// ascend with ids, so the order equals a plain sorted-neighbor BFS.
+  /// discovered node in discovery order; an `fn` returning bool ends the
+  /// search by returning true.  Rows are id-ascending and slots ascend with
+  /// ids, so the order equals a plain sorted-neighbor BFS.  Visits are
+  /// stamped and depths read off the queue's level boundaries, so a query
+  /// costs the slots it visits, never the snapshot's size.
   template <typename Fn>
   void bfs(const Csr& graph, std::uint32_t src, std::uint32_t max_depth,
            Fn&& fn) {
-    dist_.assign(graph.ids.size(), kUnreached);
+    const auto visit = [&fn](std::uint32_t slot, std::uint32_t depth) {
+      if constexpr (std::is_same_v<decltype(fn(slot, depth)), bool>) {
+        return fn(slot, depth);
+      } else {
+        fn(slot, depth);
+        return false;
+      }
+    };
+    const std::uint64_t token = next_stamp(graph.ids.size());
     queue_.clear();
-    dist_[src] = 0;
-    fn(src, 0u);
+    stamp_[src] = token;
+    if (visit(src, 0u)) return;
     queue_.push_back(src);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
+    std::uint32_t depth = 0;
+    for (std::size_t head = 0, level_end = 1; head < queue_.size(); ++head) {
+      if (head == level_end) {
+        ++depth;
+        level_end = queue_.size();
+      }
+      if (depth == max_depth) break;  // the rest of the queue is this deep
       const std::uint32_t u = queue_[head];
-      const std::uint32_t d = dist_[u];
-      if (d == max_depth) continue;
       for (const NodeId* p = graph.row_begin(u); p != graph.row_end(u); ++p) {
         const std::uint32_t v = graph.slot_of(*p);
-        if (dist_[v] != kUnreached) continue;
-        dist_[v] = d + 1;
-        fn(v, d + 1);
+        if (stamp_[v] == token) continue;
+        stamp_[v] = token;
+        if (visit(v, depth + 1)) return;
         queue_.push_back(v);
       }
     }
@@ -214,8 +230,6 @@ class TopologyCache {
   static constexpr std::size_t kMaxKHopEntries = 4096;
   static constexpr std::uint64_t kNoEpoch =
       std::numeric_limits<std::uint64_t>::max();
-  /// Journal length past which a full rebuild is assumed cheaper.
-  static constexpr std::size_t kMaxJournal = 8192;
   /// Spare pool entries per row so small degree growth patches in place.
   static constexpr std::uint32_t kRowSlack = 2;
   /// Visit budget for one bounded connectivity search during component
@@ -238,6 +252,13 @@ class TopologyCache {
   /// grow monotonically under churn, so a pure density rule would
   /// eventually disable the incremental path for good.
   static constexpr std::size_t kMaxRankTblId = std::size_t{1} << 22;
+
+  /// Fresh visit token for a traversal over `slots` slots; stamp_ grows
+  /// with the snapshot and 64-bit tokens never wrap, so nothing is reset.
+  std::uint64_t next_stamp(std::size_t slots) {
+    if (stamp_.size() < slots) stamp_.resize(slots, 0);
+    return ++stamp_token_;
+  }
 
   void clear_journal() {
     journal_.clear();
@@ -310,7 +331,6 @@ class TopologyCache {
 
   // Scratch buffers reused across queries/patches (held at high-water
   // capacity so the steady state allocates nothing).
-  std::vector<std::uint32_t> dist_;
   std::vector<std::uint32_t> queue_;
   std::vector<NodeId> cand_buf_;
   std::vector<NodeId> candidates_;
@@ -321,8 +341,7 @@ class TopologyCache {
   std::vector<NodeId> peers_;
   std::vector<NodeId> scratch_reach_;
   std::vector<NodeId> scratch_merge_;
-  std::vector<std::uint32_t> bqueue_;
-  std::vector<std::uint64_t> stamp_;  ///< slot-indexed visit stamps
+  std::vector<std::uint64_t> stamp_;  ///< slot-indexed visit stamps (bfs())
   std::uint64_t stamp_token_ = 0;
   std::vector<std::uint64_t> id_stamp_;  ///< id-indexed (local k-hop BFS)
   std::uint64_t id_stamp_token_ = 0;

@@ -1,5 +1,7 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
+
 #include "obs/profile.hpp"
 #include "sim/sim_context.hpp"
 #include "util/assert.hpp"
@@ -131,7 +133,14 @@ const std::vector<NodeId>& Transport::flood_view(NodeId from,
   if (!can_transmit(from)) return reached_;
   QIP_ASSERT(radius >= 1);
   obs::ProfileScope prof("transport_flood", ctx().recorder(), ctx().metrics());
-  const auto& in_range = topology_.k_hop_view(from, radius);
+  return deliver_flood(from, radius, topology_.k_hop_view(from, radius), t,
+                       std::move(on_deliver));
+}
+
+const std::vector<NodeId>& Transport::deliver_flood(
+    NodeId from, std::uint32_t radius,
+    const std::vector<std::pair<NodeId, std::uint32_t>>& in_range, Traffic t,
+    Receiver on_deliver) {
   // Transmissions: the sender plus every node that relays (distance < radius).
   std::uint64_t transmissions = 1;
   for (const auto& [node, d] : in_range)
@@ -158,8 +167,7 @@ const std::vector<NodeId>& Transport::flood_component_view(
   reached_.clear();
   if (!can_transmit(from)) return reached_;
   // The cached components partition answers "is the sender alone?" without
-  // a BFS; the flood radius then costs one BFS over the same cached
-  // adjacency snapshot.
+  // a BFS.
   if (topology_.component_view(from).size() == 1) {
     // Isolated sender: one futile transmission.
     stats_.record(t, 1, 1);
@@ -172,8 +180,20 @@ const std::vector<NodeId>& Transport::flood_component_view(
     }
     return reached_;
   }
-  const std::uint32_t ecc = topology_.eccentricity(from);
-  return flood_view(from, ecc, t, std::move(on_deliver));
+  obs::ProfileScope prof("transport_flood", ctx().recorder(), ctx().metrics());
+  // One reachability pass yields both the flood radius (the sender's
+  // eccentricity, the deepest BFS level) and the (node, hops) pairs a scoped
+  // flood of that radius reaches; sorted by id they are exactly its
+  // k_hop_view, without memoizing a component-sized entry.
+  component_hops_.clear();
+  std::uint32_t ecc = 0;
+  topology_.for_each_reachable(from, [&](NodeId n, std::uint32_t d) {
+    if (d == 0) return;
+    component_hops_.emplace_back(n, d);
+    ecc = std::max(ecc, d);
+  });
+  std::sort(component_hops_.begin(), component_hops_.end());
+  return deliver_flood(from, ecc, component_hops_, t, std::move(on_deliver));
 }
 
 }  // namespace qip

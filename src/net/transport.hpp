@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -125,6 +126,13 @@ class Transport {
                      Receiver on_deliver);
   void schedule_delivery(NodeId to, std::uint32_t hops, SimTime extra,
                          Receiver on_deliver);
+  /// The shared tail of flood_view and flood_component_view: charges the
+  /// transmissions of a `radius`-hop flood reaching `in_range` ((node, hops)
+  /// pairs sorted by id, sender excluded) and schedules each delivery.
+  const std::vector<NodeId>& deliver_flood(
+      NodeId from, std::uint32_t radius,
+      const std::vector<std::pair<NodeId, std::uint32_t>>& in_range,
+      Traffic t, Receiver on_deliver);
 
   Simulator& sim_;
   Topology& topology_;
@@ -133,6 +141,8 @@ class Transport {
   FaultInjector* faults_ = nullptr;
   /// Reached-set scratch backing the *_view variants (reused per call).
   std::vector<NodeId> reached_;
+  /// (node, hops) scratch of flood_component_view's reachability pass.
+  std::vector<std::pair<NodeId, std::uint32_t>> component_hops_;
 };
 
 }  // namespace qip

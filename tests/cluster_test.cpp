@@ -1,9 +1,14 @@
 // Unit tests for the cluster view (§II-B's two-layer hierarchy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "cluster/cluster_view.hpp"
 #include "net/topology.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace qip {
 namespace {
@@ -114,6 +119,54 @@ TEST_F(ClusterFixture, HeadsSorted) {
   view.set_head(0);
   view.set_head(2);
   EXPECT_EQ(view.heads(), (std::vector<NodeId>{0, 2, 4}));
+}
+
+/// Reference heads_within: filter the memoized k-hop set (sorted by id) to
+/// the heads, then sort by (hops, id).
+std::vector<NodeId> reference_heads_within(const Topology& topo,
+                                           const std::set<NodeId>& heads,
+                                           NodeId id, std::uint32_t k) {
+  std::vector<std::pair<std::uint32_t, NodeId>> found;
+  for (const auto& [node, dist] : topo.k_hop_view(id, k)) {
+    if (heads.count(node)) found.emplace_back(dist, node);
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<NodeId> out;
+  for (const auto& [dist, node] : found) out.push_back(node);
+  return out;
+}
+
+TEST(ClusterViewDifferential, HeadsWithinMatchesKHopReference) {
+  // Random topologies and head sets, every node and radius 1..5, across
+  // epochs: a few moves between rounds make the next round's queries run
+  // on a patched snapshot.
+  Rng rng(0xc1a5);
+  for (int trial = 0; trial < 8; ++trial) {
+    Topology topo(Rect{1000.0, 1000.0}, 150.0 + 10.0 * trial);
+    ClusterView view(topo);
+    std::set<NodeId> heads;
+    const auto n = static_cast<NodeId>(40 + 5 * trial);
+    for (NodeId i = 0; i < n; ++i) topo.add_node(i, topo.area().sample(rng));
+    for (NodeId i = 0; i < n; ++i) {
+      if (!rng.chance(0.3)) continue;
+      view.set_head(i);
+      heads.insert(i);
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (NodeId id = 0; id < n; ++id) {
+        for (std::uint32_t k = 1; k <= 5; ++k) {
+          ASSERT_EQ(view.heads_within(id, k),
+                    reference_heads_within(topo, heads, id, k))
+              << "trial " << trial << " round " << round << " node " << id
+              << " k " << k;
+        }
+      }
+      for (int m = 0; m < 5; ++m) {
+        topo.move_node(static_cast<NodeId>(rng.index(n)),
+                       topo.area().sample(rng));
+      }
+    }
+  }
 }
 
 }  // namespace

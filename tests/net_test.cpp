@@ -215,6 +215,33 @@ HopList topo_bfs(const Topology& topo, NodeId from) {
   return order;
 }
 
+/// Checks reachable() against "same oracle component" on sampled pairs, a
+/// node paired with itself and, when the oracle graph is split, one pair
+/// from different components (counted in `split_pairs`).
+void check_reachable(const Topology& topo,
+                     const std::vector<std::vector<NodeId>>& comps, Rng& rng,
+                     int* split_pairs) {
+  std::map<NodeId, std::size_t> comp_of;
+  std::vector<NodeId> all;
+  for (std::size_t c = 0; c < comps.size(); ++c) {
+    for (NodeId n : comps[c]) {
+      comp_of[n] = c;
+      all.push_back(n);
+    }
+  }
+  for (int probe = 0; probe < 4; ++probe) {
+    const NodeId a = all[rng.index(all.size())];
+    const NodeId b = all[rng.index(all.size())];
+    ASSERT_EQ(topo.reachable(a, b), comp_of[a] == comp_of[b])
+        << "pair " << a << ", " << b;
+    ASSERT_TRUE(topo.reachable(a, a)) << "node " << a;
+  }
+  if (comps.size() < 2) return;
+  ASSERT_FALSE(topo.reachable(comps.front().front(), comps.back().back()));
+  ASSERT_FALSE(topo.reachable(comps.back().back(), comps.front().front()));
+  ++*split_pairs;
+}
+
 TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   // A random-waypoint trace with churn (adds/removes), checked after every
   // movement step against an O(n^2) oracle — including BFS discovery order
@@ -223,6 +250,8 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   const double range = 180.0;
   const Rect area{1000.0, 1000.0};
   Rng rng(0xd1ff);
+  Rng pair_rng(0x9a1f);  // reachability probes; leaves the trace unchanged
+  int split_pairs = 0;
   Topology topo(area, range);
   OracleMap pts;
   std::map<NodeId, Point> dest;
@@ -260,9 +289,12 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
       ASSERT_EQ(topo.neighbors_view(id), oracle_neighbors(pts, id, range))
           << "step " << step << " node " << id;
     }
-    // The components partition, every step.
-    ASSERT_EQ(topo.components_view(), oracle_components(pts, range))
-        << "step " << step;
+    // The components partition, every step, and reachability read off it.
+    const auto comps = oracle_components(pts, range);
+    ASSERT_EQ(topo.components_view(), comps) << "step " << step;
+    SCOPED_TRACE(step);
+    ASSERT_NO_FATAL_FAILURE(
+        check_reachable(topo, comps, pair_rng, &split_pairs));
     // Sampled BFS queries against one oracle BFS per probe.
     for (int probe = 0; probe < 3; ++probe) {
       const NodeId a =
@@ -304,18 +336,21 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
           << "iteration order diverged at step " << step;
     }
   }
+  EXPECT_GT(split_pairs, 0);
 }
 
-TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
-  // 10k churn steps (adds, removes — including burst departures that sever
-  // paths through the removed nodes — and moves) against the O(n^2) oracle.
-  // Components are compared exactly every step; k-hop sets and BFS
-  // discovery order are sampled.  This is the long-haul guard for the
-  // incremental CSR patch + components repair (docs/SCALE.md).
-  const double range = 180.0;
-  const Rect area{1000.0, 1000.0};
+/// 10k churn steps (adds, removes — including burst departures that sever
+/// paths through the removed nodes — and random-waypoint moves by the nodes
+/// `moves(step, id)` selects) against the O(n^2) oracle.  Components are
+/// compared exactly every step; adjacency, k-hop sets, BFS discovery order
+/// and reachability are sampled.
+template <typename Moves>
+void run_long_churn(Topology& topo, Moves moves) {
+  const double range = topo.range();
+  const Rect area = topo.area();
   Rng rng(0x10c4);
-  Topology topo(area, range);
+  Rng pair_rng(0x10c5);
+  int split_pairs = 0;
   OracleMap pts;
   std::map<NodeId, Point> dest;
   NodeId next_id = 0;
@@ -340,6 +375,7 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
 
   for (int step = 0; step < 10000; ++step) {
     for (auto& [id, p] : pts) {
+      if (!moves(step, id)) continue;
       if (p == dest[id]) dest[id] = area.sample(rng);
       p = advance(p, dest[id], 20.0);
       topo.move_node(id, p);
@@ -354,10 +390,10 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
     }
 
     // Exact components vs the oracle, every step.
-    ASSERT_EQ(topo.components_view(), oracle_components(pts, range))
-        << "step " << step;
+    const auto comps = oracle_components(pts, range);
+    ASSERT_EQ(topo.components_view(), comps) << "step " << step;
 
-    // Sampled adjacency, k-hop sets, and BFS discovery order.
+    // Sampled adjacency, k-hop sets, BFS discovery order and reachability.
     const NodeId a = random_id();
     ASSERT_EQ(topo.neighbors(a), oracle_neighbors(pts, a, range))
         << "step " << step << " node " << a;
@@ -366,12 +402,35 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
         << "step " << step << " node " << a << " k " << k;
     ASSERT_EQ(topo_bfs(topo, a), oracle_bfs(pts, a, range))
         << "BFS discovery order diverged at step " << step;
+    SCOPED_TRACE(step);
+    ASSERT_NO_FATAL_FAILURE(
+        check_reachable(topo, comps, pair_rng, &split_pairs));
   }
+  EXPECT_GT(split_pairs, 0);
+}
 
+TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
+  // The long-haul guard for the incremental CSR patch + components repair
+  // (docs/SCALE.md).  Each node takes a waypoint step every 8th step, so a
+  // step journals well under a quarter of the snapshot and is patched.
+  Topology topo(Rect{1000.0, 1000.0}, 180.0);
+  ASSERT_NO_FATAL_FAILURE(run_long_churn(topo, [](int step, NodeId id) {
+    return (id + static_cast<NodeId>(step)) % 8 == 0;
+  }));
   // The incremental path must actually have been exercised: patches should
   // dwarf full rebuilds over 10k steps.
   EXPECT_GT(topo.csr_incremental_patches(), topo.csr_full_rebuilds());
   EXPECT_GT(topo.component_repairs(), 0u);
+}
+
+TEST(TopologyDifferential, MassMovementRebuildsAndMatchesOracle) {
+  // Every node moves every step: the journal overflows its quarter-of-the-
+  // snapshot cap each time, so every step takes the rebuild path.
+  Topology topo(Rect{1000.0, 1000.0}, 180.0);
+  ASSERT_NO_FATAL_FAILURE(
+      run_long_churn(topo, [](int, NodeId) { return true; }));
+  EXPECT_EQ(topo.csr_incremental_patches(), 0u);
+  EXPECT_EQ(topo.csr_full_rebuilds(), 10000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,6 +536,68 @@ TEST_F(TransportFixture, IsolatedFloodChargesOneTransmission) {
                                 [](NodeId, std::uint32_t) {});
   EXPECT_TRUE(reached.empty());
   EXPECT_EQ(stats.of(Traffic::kPartition).hops, 1u);
+}
+
+TEST(TransportDifferential, ComponentFloodMatchesScopedFloodAtEccentricity) {
+  // flood_component(from) must behave exactly like flood(from,
+  // eccentricity(from)): the same reached list, the same (node, hops)
+  // deliveries in the same order, the same charge in every category.  The
+  // far node is isolated: it has no scoped-flood twin (radius 0) and still
+  // pays one futile transmission.
+  struct Outcome {
+    std::vector<NodeId> reached;
+    HopList delivered;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> charges;
+  };
+  const auto run = [](Topology& topo, const auto& send) {
+    Simulator sim;
+    MessageStats stats;
+    Transport transport(sim, topo, stats, 0.01);
+    Outcome out;
+    out.reached = send(transport, [&out](NodeId n, std::uint32_t h) {
+      out.delivered.emplace_back(n, h);
+    });
+    sim.run();
+    for (std::size_t t = 0; t < static_cast<std::size_t>(Traffic::kCount);
+         ++t) {
+      const auto& c = stats.of(static_cast<Traffic>(t));
+      out.charges.emplace_back(c.messages, c.hops);
+    }
+    return out;
+  };
+  Rng rng(0xf100d);
+  for (int trial = 0; trial < 6; ++trial) {
+    Topology topo(Rect{1200.0, 1000.0}, 150.0);
+    const auto n = static_cast<NodeId>(30 + 6 * trial);
+    for (NodeId i = 0; i < n; ++i) {
+      topo.add_node(i, {rng.uniform(0.0, 800.0), rng.uniform(0.0, 1000.0)});
+    }
+    topo.add_node(n, {1150.0, 500.0});  // beyond range of x <= 800
+    for (NodeId from = 0; from <= n; ++from) {
+      const Outcome got = run(topo, [&](Transport& tr, auto rx) {
+        return tr.flood_component(from, Traffic::kPartition, rx);
+      });
+      if (topo.component_view(from).size() == 1) {
+        EXPECT_TRUE(got.reached.empty());
+        EXPECT_TRUE(got.delivered.empty());
+        // (messages, hops): one message, one transmission.
+        EXPECT_EQ(got.charges[static_cast<std::size_t>(Traffic::kPartition)],
+                  (std::pair<std::uint64_t, std::uint64_t>{1, 1}))
+            << "isolated sender " << from;
+        continue;
+      }
+      const std::uint32_t ecc = topo.eccentricity(from);
+      const Outcome want = run(topo, [&](Transport& tr, auto rx) {
+        return tr.flood(from, ecc, Traffic::kPartition, rx);
+      });
+      ASSERT_EQ(got.reached, want.reached) << "trial " << trial << " from "
+                                           << from;
+      ASSERT_EQ(got.delivered, want.delivered) << "trial " << trial
+                                               << " from " << from;
+      ASSERT_EQ(got.charges, want.charges) << "trial " << trial << " from "
+                                           << from;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -348,8 +348,10 @@ elseif(KIND STREQUAL "metro")
     message(FATAL_ERROR "${JSON_FILE}: plateau allocs_per_event = "
         "${plateau_allocs} — the steady state busted the allocation budget")
   endif()
-  # The incremental connectivity path must carry the run: mobility and churn
-  # patch the CSR in place instead of rebuilding it.
+  # The incremental connectivity path must carry the run: arrivals and
+  # departures patch the CSR in place instead of rebuilding it.  A drift
+  # tick moves every node, so its journal overflows the patch-or-rebuild
+  # cap (a quarter of the live nodes, docs/SCALE.md) and it rebuilds.
   string(JSON patches ERROR_VARIABLE err GET "${doc}" "topo"
       "incremental_patches")
   if(err)
