@@ -1,6 +1,6 @@
 // Quorum-backend ablation (docs/QUORUM.md).
 //
-// Three sections:
+// Two sections:
 //
 //   A. Intersection checker — the safety side.  Runs the property-based
 //      checker (exhaustive over small QDSets, seeded-random over larger
@@ -10,14 +10,10 @@
 //      fault plans (message loss, permanent head outages) against each
 //      backend and reports configured fraction / latency / overhead: what
 //      the dynamic-linear discount (and its absence) costs under stress.
-//   C. Figure 12 per-backend sweep — the paper's quorum-size story
-//      (visible IP space per head vs network size) re-run under each
-//      backend via QIP_QUORUM.
 //
-// Arms are selected with QIP_QUORUM (default: all three).  Rounds come from
-// QIP_ROUNDS; QIP_BENCH_JSON=<path> additionally writes sections A and B as
-// JSON (BENCH_quorum.json at the repo root is the committed baseline,
-// validated by the bench_json_quorum ctest).
+// Rounds come from QIP_ROUNDS; QIP_BENCH_JSON=<path> additionally writes
+// both sections as JSON (BENCH_quorum.json at the repo root is the
+// committed baseline, validated by the bench_json_quorum ctest).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -41,8 +37,7 @@ using namespace qip;
 namespace {
 
 constexpr QuorumBackend kBackends[] = {QuorumBackend::kMajority,
-                                       QuorumBackend::kDynamicLinear,
-                                       QuorumBackend::kSlices};
+                                       QuorumBackend::kDynamicLinear};
 
 constexpr std::uint32_t kPopulation = 50;
 constexpr std::uint32_t kJoinUnderFaults = 10;
@@ -167,8 +162,7 @@ Outcome run_cell(QuorumBackend backend, const FaultPlan& plan,
   return out;
 }
 
-JsonValue section_availability(std::uint32_t rounds, std::uint32_t jobs,
-                               QuorumBackend only, bool all_backends) {
+JsonValue section_availability(std::uint32_t rounds, std::uint32_t jobs) {
   std::printf("== B. Availability under fault plans: %u nodes, %u joining "
               "under faults ==\n",
               kPopulation, kJoinUnderFaults);
@@ -176,16 +170,13 @@ JsonValue section_availability(std::uint32_t rounds, std::uint32_t jobs,
   TextTable t({"fault plan", "backend", "configured%", "latency", "hops"});
   const auto plans = fault_plans();
   for (std::size_t p = 0; p < plans.size(); ++p) {
-    for (std::size_t bi = 0; bi < 3; ++bi) {
-      const QuorumBackend backend = kBackends[bi];
-      if (!all_backends && backend != only) continue;
+    for (QuorumBackend backend : kBackends) {
       RunningStats cfg, lat, hops;
       run_cells<Outcome>(
           process_context(), jobs, rounds,
           [&](std::size_t r, SimContext& ctx) {
             // Same seed for every backend: the columns compare the quorum
-            // rule on identical scenario draws, so the majority and slices
-            // rows coming out identical is the count-equivalence showing.
+            // rule on identical scenario draws.
             const std::uint64_t seed =
                 9000 + 100 * static_cast<std::uint64_t>(p) + r;
             return run_cell(backend, plans[p].plan, seed, ctx);
@@ -214,39 +205,12 @@ JsonValue section_availability(std::uint32_t rounds, std::uint32_t jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmain::apply_quorum_args(argc, argv);
   const std::uint32_t rounds = rounds_from_env(2);
   const std::uint32_t jobs = benchmain::jobs_from_args(argc, argv);
 
-  // QIP_QUORUM narrows sections B and C to one arm (the checker section is
-  // cheap and always covers all backends).
-  const char* env_raw = std::getenv("QIP_QUORUM");
-  const bool had_env = (env_raw != nullptr && *env_raw != '\0');
-  const std::string env = had_env ? env_raw : "";
-  const bool all_backends = !had_env;
-  const QuorumBackend only = quorum_backend_from_env();
-
   JsonValue checker = section_checker();
-  JsonValue cells = section_availability(rounds, jobs, only, all_backends);
-
-  std::printf("== C. Figure 12 sweep per backend ==\n");
-  ExperimentOptions opt;
-  opt.rounds = rounds;
-  opt.jobs = jobs;
-  for (QuorumBackend b : kBackends) {
-    if (!all_backends && b != only) continue;
-    setenv("QIP_QUORUM", to_string(b), /*overwrite=*/1);
-    std::printf("-- backend: %s --\n", to_string(b));
-    std::printf("%s", fig12_quorum_space(opt).render().c_str());
-  }
-  if (had_env) {
-    setenv("QIP_QUORUM", env.c_str(), 1);
-  } else {
-    unsetenv("QIP_QUORUM");
-  }
-  std::printf("(rounds per cell: %u; set QIP_ROUNDS to raise, QIP_QUORUM to "
-              "pick one arm)\n\n",
-              rounds);
+  JsonValue cells = section_availability(rounds, jobs);
+  std::printf("(rounds per cell: %u; set QIP_ROUNDS to raise)\n\n", rounds);
 
   if (const char* path = std::getenv("QIP_BENCH_JSON")) {
     JsonValue doc = JsonValue::object();

@@ -8,10 +8,9 @@
 // Replication parallelism: --jobs N (or QIP_JOBS) fans the (x, round) cells
 // across N worker threads.  The output is byte-identical for every value —
 // the point of the deterministic runner — so the table deliberately never
-// mentions which jobs count produced it.
-// Quorum backend: --quorum NAME (or QIP_QUORUM) selects majority /
-// dynamic_linear / slices for every engine the bench constructs; malformed
-// names exit 2 before any cell runs (docs/QUORUM.md).
+// mentions which jobs count produced it.  --jobs is the only flag: an
+// unknown argument, or --jobs without its value, exits 2 before any cell
+// runs.
 #pragma once
 
 #include <cstdio>
@@ -20,57 +19,46 @@
 
 #include "harness/figures.hpp"
 #include "harness/parallel.hpp"
-#include "quorum/quorum_policy.hpp"
 #include "util/env.hpp"
 
 namespace qip::benchmain {
 
-/// Parses --quorum NAME / --quorum=NAME into QIP_QUORUM so the backend
-/// reaches every internally-constructed QipParams; exits 2 on a bad name.
-inline void apply_quorum_args(int argc, const char* const* argv) {
-  const char* chosen = nullptr;
+/// Parses the bench's one command-line flag, `name N` or `name=N`, as a
+/// positive integer; returns `value` (the environment's or the default)
+/// when the flag is absent.  Any other argument, or the flag without a
+/// value, is a usage error: exit 2.
+inline std::uint32_t positive_flag_from_args(int argc,
+                                             const char* const* argv,
+                                             const char* name,
+                                             std::uint32_t value) {
+  const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--quorum") == 0 && i + 1 < argc) {
-      chosen = argv[i + 1];
-    } else if (std::strncmp(arg, "--quorum=", 9) == 0) {
-      chosen = arg + 9;
-    }
-  }
-  if (chosen != nullptr) {
-    if (!parse_quorum_backend(chosen)) {
-      std::fprintf(stderr,
-                   "--quorum %s is not a quorum backend (expected "
-                   "\"majority\", \"dynamic_linear\" or \"slices\")\n",
-                   chosen);
+    if (std::strcmp(arg, name) == 0 && i + 1 < argc) {
+      value = parse_positive_u32(name, argv[++i]);
+    } else if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+      value = parse_positive_u32(name, arg + len + 1);
+    } else {
+      std::fprintf(stderr, "qip: %s '%s'\nusage: %s [%s N]\n",
+                   std::strcmp(arg, name) == 0 ? "missing value for"
+                                               : "unknown argument",
+                   arg, argv[0], name);
       std::exit(2);
     }
-    setenv("QIP_QUORUM", chosen, /*overwrite=*/1);
   }
-  // Validate eagerly even when only the env var is set, so a typo fails
-  // fast instead of mid-run at the first QipParams construction.
-  (void)quorum_backend_from_env();
+  return value;
 }
 
 /// Parses --jobs N / --jobs=N, falling back to QIP_JOBS, then `fallback`.
 inline std::uint32_t jobs_from_args(int argc, const char* const* argv,
                                     std::uint32_t fallback = 1) {
-  std::uint32_t jobs = jobs_from_env(fallback);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-      jobs = parse_positive_u32("--jobs", argv[i + 1]);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = parse_positive_u32("--jobs", arg + 7);
-    }
-  }
-  return jobs;
+  return positive_flag_from_args(argc, argv, "--jobs",
+                                 jobs_from_env(fallback));
 }
 
 inline int run(FigureData (*figure)(const ExperimentOptions&), int argc = 0,
                const char* const* argv = nullptr,
                std::uint32_t default_rounds = 3) {
-  apply_quorum_args(argc, argv);
   ExperimentOptions opt;
   opt.rounds = rounds_from_env(default_rounds);
   opt.jobs = jobs_from_args(argc, argv);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "bench_figure_main.hpp"
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/world.hpp"
@@ -116,22 +117,11 @@ class HostMeter {
   std::uint64_t allocs0_ = 0;
 };
 
-std::uint32_t nodes_from_args(int argc, const char* const* argv) {
-  std::uint32_t n = env_positive_u32("QIP_METRO_NODES", 2000);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      n = parse_positive_u32("--nodes", argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      n = parse_positive_u32("--nodes", argv[i] + 8);
-    }
-  }
-  return n;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t n = nodes_from_args(argc, argv);
+  const std::uint32_t n = benchmain::positive_flag_from_args(
+      argc, argv, "--nodes", env_positive_u32("QIP_METRO_NODES", 2000));
 
   // Constant density: ~9 expected neighbors at any n, the paper's regime.
   constexpr double kRange = 150.0;

@@ -102,11 +102,8 @@ struct QipParams {
   /// maintenance quorate checks, hardened veto cross-checks).  kDynamicLinear
   /// is §II-D's rule — dynamic linear voting with the address owner as
   /// distinguished node; kMajority is the strict-majority fallback the
-  /// figures compare against; kSlices derives federated flat-majority
-  /// slices from QDSet membership (docs/QUORUM.md).  Defaults through
-  /// QIP_QUORUM so env/--quorum selection reaches every internally-built
-  /// QipParams; malformed values exit 2 at construction.
-  QuorumBackend quorum = quorum_backend_from_env();
+  /// figures compare against (docs/QUORUM.md).
+  QuorumBackend quorum = QuorumBackend::kDynamicLinear;
 
   /// §V-A address borrowing from QuorumSpace (false = IPSpace only, with
   /// agent forwarding as the sole fallback — the ablation bench measures

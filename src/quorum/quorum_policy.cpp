@@ -1,9 +1,6 @@
 #include "quorum/quorum_policy.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "quorum/dynamic_linear.hpp"
 #include "util/assert.hpp"
@@ -16,34 +13,10 @@ const char* to_string(QuorumBackend backend) {
       return "majority";
     case QuorumBackend::kDynamicLinear:
       return "dynamic_linear";
-    case QuorumBackend::kSlices:
-      return "slices";
   }
   QIP_ASSERT_MSG(false, "unknown QuorumBackend "
                             << static_cast<unsigned>(backend));
   return "?";
-}
-
-std::optional<QuorumBackend> parse_quorum_backend(const char* text) {
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  if (std::strcmp(text, "majority") == 0) return QuorumBackend::kMajority;
-  if (std::strcmp(text, "dynamic_linear") == 0)
-    return QuorumBackend::kDynamicLinear;
-  if (std::strcmp(text, "slices") == 0) return QuorumBackend::kSlices;
-  return std::nullopt;
-}
-
-QuorumBackend quorum_backend_from_env() {
-  const char* env = std::getenv("QIP_QUORUM");
-  if (env == nullptr || *env == '\0') return QuorumBackend::kDynamicLinear;
-  if (std::optional<QuorumBackend> parsed = parse_quorum_backend(env)) {
-    return *parsed;
-  }
-  std::fprintf(stderr,
-               "QIP_QUORUM=%s is not a quorum backend "
-               "(expected \"majority\", \"dynamic_linear\" or \"slices\")\n",
-               env);
-  std::exit(2);
 }
 
 QuorumSystem QuorumPolicy::read_system(
@@ -143,50 +116,16 @@ class DynamicLinearPolicy final : public QuorumPolicy {
   }
 };
 
-class SlicesPolicy final : public QuorumPolicy {
- public:
-  SlicesPolicy() : QuorumPolicy(QuorumBackend::kSlices) {}
-
-  std::uint32_t threshold(std::uint32_t group_size,
-                          bool /*has_distinguished*/) const override {
-    // The engine derives flat-majority slices from QDSet membership: every
-    // member trusts ⌊n/2⌋+1 of the whole group.  Any subset of that size
-    // satisfies every member's slice, and no smaller subset satisfies
-    // anyone's, so the counting form collapses to the majority threshold.
-    QIP_ASSERT(group_size >= 1);
-    return group_size / 2 + 1;
-  }
-
-  bool is_quorum(const std::vector<std::uint32_t>& universe,
-                 const std::vector<std::uint32_t>& subset,
-                 std::optional<std::uint32_t> /*distinguished*/)
-      const override {
-    const std::vector<std::uint32_t> u = sorted_universe(universe);
-    const std::vector<std::uint32_t> s = sorted_subset_of(u, subset);
-    return SliceConfig::flat_majority(u).is_quorum(s);
-  }
-
-  QuorumSystem materialize(
-      std::vector<std::uint32_t> universe,
-      std::optional<std::uint32_t> /*distinguished*/) const override {
-    std::vector<std::uint32_t> u = sorted_universe(std::move(universe));
-    return QuorumSystem::from_slices(SliceConfig::flat_majority(u), u);
-  }
-};
-
 }  // namespace
 
 const QuorumPolicy& quorum_policy(QuorumBackend backend) {
   static const MajorityPolicy majority;
   static const DynamicLinearPolicy dynamic_linear;
-  static const SlicesPolicy slices;
   switch (backend) {
     case QuorumBackend::kMajority:
       return majority;
     case QuorumBackend::kDynamicLinear:
       return dynamic_linear;
-    case QuorumBackend::kSlices:
-      return slices;
   }
   QIP_ASSERT_MSG(false, "unknown QuorumBackend "
                             << static_cast<unsigned>(backend));

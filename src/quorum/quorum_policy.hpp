@@ -3,25 +3,17 @@
 // The engine's quorum-critical paths — vote tallying in qip_engine.cpp, the
 // quorate checks guarding shrink/reclamation in qip_maintenance.cpp — used to
 // hardcode the two counting rules of §II-C/§II-D.  QuorumPolicy lifts that
-// decision into an interface with three registered backends:
+// decision into an interface with two registered backends:
 //
 //   majority        strict majority counting: w = ⌊n/2⌋+1 always.
 //   dynamic_linear  Jajodia–Mutchler dynamic linear voting (the default and
 //                   the paper's §II-D rule): an exactly-half subset of an
 //                   even group is a quorum iff it holds the distinguished
 //                   node (dynamic_linear.hpp).
-//   slices          federated quorum slices with v-blocking sets
-//                   (slices.hpp, stellar-core LocalNode style).  The engine
-//                   derives every member's slice from QDSet membership as
-//                   flat_majority, which makes this backend count-equivalent
-//                   to `majority` on the engine's symmetric replica groups —
-//                   the asymmetric power only surfaces through custom
-//                   SliceConfigs (intersection checker, Byzantine-lite
-//                   experiments).
 //
-// Backends are selected per-run through QipParams::quorum, which defaults to
-// quorum_backend_from_env() so the QIP_QUORUM env var (and the figure
-// benches' --quorum flag) reaches every internally-constructed QipParams.
+// A run picks its backend through QipParams::quorum and nowhere else.
+// Federated slice declarations (slices.hpp) are not an engine backend: the
+// intersection checker consumes them directly.
 #pragma once
 
 #include <cstdint>
@@ -29,29 +21,16 @@
 #include <vector>
 
 #include "quorum/quorum_system.hpp"
-#include "quorum/slices.hpp"
 
 namespace qip {
 
 enum class QuorumBackend : std::uint8_t {
   kMajority = 0,
   kDynamicLinear = 1,
-  kSlices = 2,
 };
 
-/// "majority", "dynamic_linear" or "slices" — the exact spellings
-/// parse_quorum_backend accepts.
+/// "majority" or "dynamic_linear".
 const char* to_string(QuorumBackend backend);
-
-/// Strict parse of a backend name; nullopt on anything else (including
-/// nullptr and "").  Case-sensitive on purpose: the env/flag surface is
-/// exact-match.
-std::optional<QuorumBackend> parse_quorum_backend(const char* text);
-
-/// Reads QIP_QUORUM.  Unset/empty selects kDynamicLinear (the paper's rule
-/// and the byte-identity baseline); a malformed value is a usage error and
-/// exits 2, same contract as the strict parsers in util/env.hpp.
-QuorumBackend quorum_backend_from_env();
 
 /// One quorum backend.  Stateless and shared — obtain instances through
 /// quorum_policy(), never construct or own one.
@@ -66,7 +45,7 @@ class QuorumPolicy {
   /// the caller already knows whether the distinguished voter is on board.
   /// This is the counting form the engine's hot paths use: the group is
   /// symmetric (every QDSet member weighs the same), so cardinality plus the
-  /// distinguished bit decides everything for all three backends.
+  /// distinguished bit decides everything for both backends.
   virtual std::uint32_t threshold(std::uint32_t group_size,
                                   bool has_distinguished) const = 0;
 

@@ -9,11 +9,11 @@
 // intersects every way of satisfying that node's slice (so the node can
 // never assemble a slice that avoids B).
 //
-// QIP's replica groups are QDSets — each head's slice is derived from its
-// QDSet membership (the flat_majority shape below); custom shapes exist for
-// the intersection checker and the Byzantine-lite experiments, where
-// deliberately-broken declarations (disjoint trust cliques) must be
-// refutable, not silently accepted.
+// The engine counts votes with the symmetric rules; slice declarations are
+// the intersection checker's input format.  flat_majority below is the
+// federated form of majority voting over a QDSet; custom shapes exist for
+// the checker, where deliberately-broken declarations (disjoint trust
+// cliques) must be refutable, not silently accepted.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,8 @@ struct QuorumSlice {
 class SliceConfig {
  public:
   /// The federated form of the paper's majority rule: every node trusts a
-  /// strict majority of the whole universe, itself included.  This is the
-  /// shape the `slices` QuorumPolicy backend derives from a QDSet replica
-  /// group, and it is provably equivalent to plain majority counting.
+  /// strict majority of the whole universe, itself included.  It is
+  /// provably equivalent to plain majority counting.
   static SliceConfig flat_majority(const std::vector<std::uint32_t>& universe);
 
   /// Installs (or replaces) `node`'s declaration.  Validates the slice.

@@ -1,7 +1,8 @@
-// Tests for the pluggable quorum-backend layer: backend parsing, counting
-// and set-form equivalences across majority / dynamic_linear / slices,
-// federated slice semantics, enumeration-cap rejection, and the
-// property-based intersection checker (docs/QUORUM.md).
+// Tests for the pluggable quorum-backend layer: backend selection, counting
+// and set-form equivalences across majority / dynamic_linear and the
+// flat-majority slice declaration, federated slice semantics,
+// enumeration-cap rejection, and the property-based intersection checker
+// (docs/QUORUM.md).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,6 +23,9 @@
 namespace qip {
 namespace {
 
+constexpr QuorumBackend kBackends[] = {QuorumBackend::kMajority,
+                                       QuorumBackend::kDynamicLinear};
+
 std::vector<std::uint32_t> universe(std::uint32_t n) {
   std::vector<std::uint32_t> u(n);
   std::iota(u.begin(), u.end(), 1u);
@@ -41,43 +45,22 @@ std::vector<std::uint32_t> subset_of(std::uint32_t mask,
 // Backend selection surface
 // ---------------------------------------------------------------------------
 
-TEST(QuorumBackend, ParseAcceptsExactNamesOnly) {
-  EXPECT_EQ(parse_quorum_backend("majority"), QuorumBackend::kMajority);
-  EXPECT_EQ(parse_quorum_backend("dynamic_linear"),
-            QuorumBackend::kDynamicLinear);
-  EXPECT_EQ(parse_quorum_backend("slices"), QuorumBackend::kSlices);
-  EXPECT_FALSE(parse_quorum_backend(nullptr).has_value());
-  EXPECT_FALSE(parse_quorum_backend("").has_value());
-  EXPECT_FALSE(parse_quorum_backend("Majority").has_value());
-  EXPECT_FALSE(parse_quorum_backend("slice").has_value());
-  EXPECT_FALSE(parse_quorum_backend("dynamic-linear").has_value());
-}
-
 TEST(QuorumBackend, NamesRoundTrip) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
-    EXPECT_EQ(parse_quorum_backend(to_string(b)), b);
+  EXPECT_STREQ(to_string(QuorumBackend::kMajority), "majority");
+  EXPECT_STREQ(to_string(QuorumBackend::kDynamicLinear), "dynamic_linear");
+  for (QuorumBackend b : kBackends) {
     EXPECT_EQ(quorum_policy(b).kind(), b);
     EXPECT_STREQ(quorum_policy(b).name(), to_string(b));
   }
 }
 
-TEST(QuorumBackendDeathTest, MalformedEnvExits2) {
-  setenv("QIP_QUORUM", "consensus", 1);
-  EXPECT_EXIT(quorum_backend_from_env(), ::testing::ExitedWithCode(2),
-              "not a quorum backend");
+TEST(QuorumBackend, ParamsDefaultIgnoresEnvironment) {
+  // QipParams::quorum is the only way to choose a rule: a QIP_QUORUM left
+  // in the environment must not reach the engine.
+  setenv("QIP_QUORUM", "majority", /*overwrite=*/1);
+  const QuorumBackend chosen = QipParams{}.quorum;
   unsetenv("QIP_QUORUM");
-}
-
-TEST(QuorumBackend, UnsetEnvDefaultsToDynamicLinear) {
-  unsetenv("QIP_QUORUM");
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kDynamicLinear);
-  setenv("QIP_QUORUM", "", 1);
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kDynamicLinear);
-  setenv("QIP_QUORUM", "slices", 1);
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kSlices);
-  unsetenv("QIP_QUORUM");
+  EXPECT_EQ(chosen, QuorumBackend::kDynamicLinear);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,12 +70,8 @@ TEST(QuorumBackend, UnsetEnvDefaultsToDynamicLinear) {
 TEST(QuorumPolicyEquivalence, CountingFormsAgree) {
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
   const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 20; ++n) {
-    // Flat-majority slices collapse to majority counting, always.
     EXPECT_EQ(maj.threshold(n, false), n / 2 + 1);
-    EXPECT_EQ(sl.threshold(n, false), maj.threshold(n, false));
-    EXPECT_EQ(sl.threshold(n, true), maj.threshold(n, true));
     // Dynamic linear agrees except on the even-group distinguished discount.
     EXPECT_EQ(dl.threshold(n, false), maj.threshold(n, false));
     EXPECT_EQ(dl.threshold(n, true), quorum_threshold(n, true));
@@ -103,33 +82,31 @@ TEST(QuorumPolicyEquivalence, CountingFormsAgree) {
 }
 
 TEST(QuorumPolicyEquivalence, SetFormsAgreeWithoutDistinguished) {
-  // majority ≡ dynamic_linear(distinguished = ∅) ≡ slices(flat-majority),
+  // majority ≡ dynamic_linear(distinguished = ∅) ≡ flat-majority slices,
   // on every subset of every small universe.
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
   const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
+    const SliceConfig flat = SliceConfig::flat_majority(u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       const auto s = subset_of(mask, u);
       const bool by_majority = maj.is_quorum(u, s, std::nullopt);
       EXPECT_EQ(dl.is_quorum(u, s, std::nullopt), by_majority)
           << "n=" << n << " mask=" << mask;
-      EXPECT_EQ(sl.is_quorum(u, s, std::nullopt), by_majority)
+      EXPECT_EQ(flat.is_quorum(s), by_majority)
           << "n=" << n << " mask=" << mask;
-      // slices ≡ majority even in the presence of a distinguished node.
-      EXPECT_EQ(sl.is_quorum(u, s, u.front()), by_majority);
     }
   }
 }
 
 TEST(QuorumPolicyEquivalence, MaterializedSystemsCoverIdentically) {
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
     const QuorumSystem a = maj.materialize(u, std::nullopt);
-    const QuorumSystem b = sl.materialize(u, std::nullopt);
+    const QuorumSystem b =
+        QuorumSystem::from_slices(SliceConfig::flat_majority(u), u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       const auto s = subset_of(mask, u);
       EXPECT_EQ(a.covers_quorum(s), b.covers_quorum(s))
@@ -158,9 +135,7 @@ TEST(QuorumPolicyEquivalence, DynamicLinearMatchesFreeFunctions) {
 }
 
 TEST(QuorumPolicy, ReadSystemsIntersectWriteSystems) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b : kBackends) {
     const auto& policy = quorum_policy(b);
     for (std::uint32_t n = 1; n <= 7; ++n) {
       const auto u = universe(n);
@@ -310,9 +285,7 @@ TEST(QuorumSystemCaps, FixedSizeRejectsBadK) {
 // ---------------------------------------------------------------------------
 
 TEST(IntersectionChecker, ExhaustivePassesOnAllBackends) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b : kBackends) {
     for (std::uint32_t n = 1; n <= 6; ++n) {
       const IntersectionReport r =
           check_intersection_exhaustive(quorum_policy(b), n);
@@ -344,9 +317,7 @@ TEST(IntersectionChecker, DynamicLinearReachesHalfSizeViews) {
 }
 
 TEST(IntersectionChecker, RandomizedPassesOnLargerUniverses) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b : kBackends) {
     const IntersectionReport r = check_intersection_random(
         quorum_policy(b), /*universe_size=*/14, /*seed=*/0x5eed,
         /*trials=*/64);
@@ -386,7 +357,7 @@ TEST(IntersectionChecker, RefutesDisjointTrustCliques) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: majority vs slices, pop for pop
+// Engine level: the default rule is dynamic linear, pop for pop
 // ---------------------------------------------------------------------------
 
 struct ScenarioOutcome {
@@ -423,23 +394,12 @@ ScenarioOutcome run_scenario(QuorumBackend backend) {
   return out;
 }
 
-TEST(QuorumPolicyEquivalence, EngineMajorityAndSlicesPopForPop) {
-  // Flat-majority slices are count-equivalent to strict majority, so the
-  // two backends must drive the engine through identical message flows:
-  // same addresses, same hop totals.
-  const ScenarioOutcome maj = run_scenario(QuorumBackend::kMajority);
-  const ScenarioOutcome sl = run_scenario(QuorumBackend::kSlices);
-  EXPECT_EQ(maj.addresses, sl.addresses);
-  EXPECT_EQ(maj.protocol_hops, sl.protocol_hops);
-  EXPECT_GE(maj.addresses.size(), 9u);
-}
-
 TEST(QuorumPolicyEquivalence, EngineDefaultMatchesExplicitDynamicLinear) {
-  unsetenv("QIP_QUORUM");
-  const ScenarioOutcome dflt = run_scenario(quorum_backend_from_env());
+  const ScenarioOutcome dflt = run_scenario(QipParams{}.quorum);
   const ScenarioOutcome dl = run_scenario(QuorumBackend::kDynamicLinear);
   EXPECT_EQ(dflt.addresses, dl.addresses);
   EXPECT_EQ(dflt.protocol_hops, dl.protocol_hops);
+  EXPECT_GE(dl.addresses.size(), 9u);
 }
 
 }  // namespace

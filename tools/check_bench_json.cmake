@@ -15,8 +15,8 @@
 # reviewable in diffs:
 #   * BENCH_adversary.json — the ablation_adversary cell grid; regenerate with
 #     QIP_BENCH_JSON=BENCH_adversary.json QIP_ROUNDS=2 bench/ablation_adversary
-#   * BENCH_micro.json — a google-benchmark run; regenerate with
-#     bench/micro_quorum --benchmark_out=BENCH_micro.json
+#   * BENCH_micro_quorum.json — a google-benchmark run; regenerate with
+#     bench/micro_quorum --benchmark_out=BENCH_micro_quorum.json
 #                        --benchmark_out_format=json
 #   * BENCH_event_queue.json — regenerate from an optimized build on an idle
 #     machine (the scaling gate compares two timings) with

@@ -13,10 +13,6 @@
 #     own SimContext, seeds its World from its (x, round) position, and
 #     cells merge in (x, round) order (docs/PARALLELISM.md).  Needs
 #     ROUNDS >= 2 so the runner has cells to interleave.
-#   * quorum_invariance — two backend identities that hold by construction
-#     (docs/QUORUM.md): default vs QIP_QUORUM=dynamic_linear (the policy
-#     machinery is dormant) and majority vs slices (flat-majority slices are
-#     count-equivalent).  majority vs default legitimately differs.
 #
 # ENV_A / ENV_B are lists of K=V pairs, each applied just before its run and
 # unset again after it; an empty V unsets K.  Both runs get

@@ -4,7 +4,7 @@
 //           [--nodes N] [--range M] [--speed M/S] [--seed S]
 //           [--duration SECS] [--churn N] [--abrupt RATIO]
 //           [--pool N] [--csv FILE] [--trace FILE] [--quiet]
-//           [--rounds R] [--jobs N] [--quorum BACKEND]
+//           [--rounds R] [--jobs N]
 //
 // Joins N nodes sequentially, applies the requested churn (departures +
 // replacement arrivals), lets the network roam for the duration, and prints
@@ -30,7 +30,6 @@
 #include "harness/protocols.hpp"
 #include "harness/seed.hpp"
 #include "obs/trace_session.hpp"
-#include "quorum/quorum_policy.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
 
@@ -57,8 +56,7 @@ struct Options {
       "          [--nodes N] [--range M] [--speed M/S] [--seed S]\n"
       "          [--duration SECS] [--churn N] [--abrupt RATIO]\n"
       "          [--pool N] [--csv FILE] [--trace FILE] [--quiet]\n"
-      "          [--rounds R] [--jobs N]\n"
-      "          [--quorum majority|dynamic_linear|slices]\n",
+      "          [--rounds R] [--jobs N]\n",
       argv0, names.c_str());
   std::exit(2);
 }
@@ -103,18 +101,6 @@ Options parse(int argc, char** argv) {
       opt.rounds = parse_positive_u32("--rounds", value());
     } else if (arg == "--jobs") {
       opt.jobs = parse_positive_u32("--jobs", value());
-    } else if (arg == "--quorum") {
-      // Routed through QIP_QUORUM so every internally-built QipParams sees
-      // it (only the qip protocol consults it; baselines have no quorums).
-      const char* name = value();
-      if (!parse_quorum_backend(name)) {
-        std::fprintf(stderr,
-                     "--quorum %s is not a quorum backend (expected "
-                     "\"majority\", \"dynamic_linear\" or \"slices\")\n",
-                     name);
-        std::exit(2);
-      }
-      setenv("QIP_QUORUM", name, /*overwrite=*/1);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else {
@@ -127,7 +113,6 @@ Options parse(int argc, char** argv) {
     std::fprintf(stderr, "qip-sim: %s\n", err.c_str());
     usage(argv[0]);
   }
-  (void)quorum_backend_from_env();  // fail fast on a malformed QIP_QUORUM
   return opt;
 }
 
