@@ -16,9 +16,12 @@
 // the incremental connectivity path actually engaging at scale.
 //
 // Arrivals and departures go through harness/driver's waves, the same
-// lifecycle code every other scenario runs.  No uniqueness auditor is
-// attached: its per-probe rebuild does not scale to a city yet
-// (docs/SCALE.md).
+// lifecycle code every other scenario runs.  The whole day is audited at
+// qip-benchmark's cadence: every run_for is cut into 0.5 s slices, each
+// followed by a UniquenessAuditor check, and each departure wave is checked
+// once more right after it.  A violation is counted, not fatal; per phase
+// the bench reports checks, audit seconds and violations, and prints the
+// first violation's message.
 //
 // Sizing: --nodes N or QIP_METRO_NODES (default 2000 so a bare run finishes
 // in seconds; the committed BENCH_metro.json baseline is the
@@ -31,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "alloc_counter.hpp"
 #include "bench_figure_main.hpp"
 #include "core/qip_engine.hpp"
+#include "harness/auditor.hpp"
 #include "harness/driver.hpp"
 #include "harness/world.hpp"
 #include "net/node_id.hpp"
@@ -69,6 +74,55 @@ double peak_rss_mib() {
   return kib / 1024.0;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The city's uniqueness audit, driven at qip-benchmark's cadence: the
+/// world-owned auditor's probe never fires; run_for() advances in 0.5 s
+/// slices (every horizon below is a multiple, so the simulation is the one
+/// a plain run_for runs) and checks after each.  A violation is counted and
+/// its first message kept.
+class CityAudit {
+ public:
+  CityAudit(World& world, const QipEngine& proto)
+      : world_(world),
+        auditor_(world.audit(proto,
+                             std::numeric_limits<SimTime>::infinity())) {}
+
+  void check() {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      auditor_.check_now();
+    } catch (const InvariantViolation& e) {
+      if (violations_++ == 0) first_violation_ = e.what();
+    }
+    seconds_ += seconds_since(start);
+  }
+
+  void run_for(SimTime dt) {
+    for (long slice = std::lround(dt / kSlice); slice > 0; --slice) {
+      world_.run_for(kSlice);
+      check();
+    }
+  }
+
+  std::uint64_t checks() const { return auditor_.checks(); }
+  double seconds() const { return seconds_; }
+  std::uint64_t violations() const { return violations_; }
+  const std::string& first_violation() const { return first_violation_; }
+
+ private:
+  static constexpr SimTime kSlice = 0.5;
+  World& world_;
+  UniquenessAuditor& auditor_;
+  double seconds_ = 0.0;
+  std::uint64_t violations_ = 0;
+  std::string first_violation_;
+};
+
 struct PhaseReport {
   std::string name;
   double wall_s = 0.0;
@@ -77,44 +131,54 @@ struct PhaseReport {
   std::uint64_t allocs = 0;
   double allocs_per_event = 0.0;
   std::uint64_t configured = 0;
+  std::uint64_t audit_checks = 0;
+  double audit_s = 0.0;
+  std::uint64_t audit_violations = 0;
 };
 
-/// Brackets one phase's host cost: wall clock plus event and allocation
-/// deltas.  The deltas are read before the (allocating) configured-address
-/// scan so the scan never pollutes the phase it closes.
+/// Brackets one phase's host cost: wall clock, event and allocation deltas,
+/// and the audit's share of them.
 class HostMeter {
  public:
-  HostMeter(World& world, const QipEngine& proto)
-      : world_(world), proto_(proto) {}
+  HostMeter(World& world, const QipEngine& proto, const CityAudit& audit)
+      : world_(world), proto_(proto), audit_(audit) {}
 
   void begin() {
     start_ = std::chrono::steady_clock::now();
     events0_ = world_.sim().events_executed();
     allocs0_ = allocs_now();
+    audit_checks0_ = audit_.checks();
+    audit_s0_ = audit_.seconds();
+    audit_violations0_ = audit_.violations();
   }
 
   PhaseReport end(std::string name) {
     PhaseReport r;
     r.name = std::move(name);
-    r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             start_)
-                   .count();
+    r.wall_s = seconds_since(start_);
     r.events = world_.sim().events_executed() - events0_;
     r.allocs = allocs_now() - allocs0_;
     r.allocs_per_event = r.events ? static_cast<double>(r.allocs) /
                                         static_cast<double>(r.events)
                                   : 0.0;
     r.peak_rss_mib = peak_rss_mib();
-    r.configured = proto_.configured_addresses().size();
+    proto_.for_each_configured([&r](NodeId, IpAddress) { ++r.configured; });
+    r.audit_checks = audit_.checks() - audit_checks0_;
+    r.audit_s = audit_.seconds() - audit_s0_;
+    r.audit_violations = audit_.violations() - audit_violations0_;
     return r;
   }
 
  private:
   World& world_;
   const QipEngine& proto_;
+  const CityAudit& audit_;
   std::chrono::steady_clock::time_point start_;
   std::uint64_t events0_ = 0;
   std::uint64_t allocs0_ = 0;
+  std::uint64_t audit_checks0_ = 0;
+  double audit_s0_ = 0.0;
+  std::uint64_t audit_violations0_ = 0;
 };
 
 }  // namespace
@@ -144,25 +208,26 @@ int main(int argc, char** argv) {
   DriverOptions dopt;
   dopt.mobility = false;  // the Gauss-Markov drift below moves the nodes
   dopt.connected_arrivals = false;
-  dopt.audit = false;  // see the file comment
+  dopt.audit = false;  // CityAudit checks at the bench's own cadence
   dopt.departure_settle = 0.5;
   Driver driver(world, proto, dopt);
 
+  CityAudit audit(world, proto);
   std::vector<PhaseReport> phases;
-  HostMeter meter(world, proto);
+  HostMeter meter(world, proto, audit);
 
   // -- Phase 1: flash crowd --------------------------------------------------
   // A seed node first (one self-election instead of n parallel ones), then
   // dense waves: ~n/20 arrivals per simulated second.
   meter.begin();
   driver.join_wave(1);
-  world.run_for(3.0);
+  audit.run_for(3.0);
   const std::uint32_t wave = n / 20 + 1;
   while (driver.joined_count() < n) {
     driver.join_wave(std::min(wave, n - driver.joined_count()));
-    world.run_for(1.0);
+    audit.run_for(1.0);
   }
-  world.run_for(10.0);  // let the tail of the entry storm settle
+  audit.run_for(10.0);  // let the tail of the entry storm settle
   phases.push_back(meter.end("flash_crowd"));
 
   // -- Phase 2: Gauss-Markov drift -------------------------------------------
@@ -196,7 +261,7 @@ int main(int argc, char** argv) {
         world.topology().move_node(id, p);
       }
       proto.on_mobility_tick();
-      world.run_for(1.0);
+      audit.run_for(1.0);
     }
   }
   phases.push_back(meter.end("drift"));
@@ -223,15 +288,16 @@ int main(int argc, char** argv) {
         return std::span<const NodeId>(v).subspan(lo, hi - lo);
       };
       driver.depart(slice(graceful), slice(abrupt));
-      world.run_for(0.5);
+      audit.check();
+      audit.run_for(0.5);
     }
-    world.run_for(10.0);
+    audit.run_for(10.0);
   }
   phases.push_back(meter.end("departure"));
 
   // -- Phase 4: quiescent plateau --------------------------------------------
   meter.begin();
-  world.run_for(20.0);
+  audit.run_for(20.0);
   phases.push_back(meter.end("plateau"));
 
   // -- Report ----------------------------------------------------------------
@@ -239,12 +305,15 @@ int main(int argc, char** argv) {
   const auto& arena = CaptureArena::instance();
 
   TextTable t({"phase", "wall_s", "peak_rss_mib", "events", "allocs",
-               "allocs_per_event", "configured"});
+               "allocs_per_event", "configured", "audit_checks", "audit_s",
+               "audit_violations"});
   for (const PhaseReport& p : phases) {
     t.add_row({p.name, format_double(p.wall_s, 3),
                format_double(p.peak_rss_mib, 1), std::to_string(p.events),
                std::to_string(p.allocs), format_double(p.allocs_per_event, 4),
-               std::to_string(p.configured)});
+               std::to_string(p.configured), std::to_string(p.audit_checks),
+               format_double(p.audit_s, 3),
+               std::to_string(p.audit_violations)});
   }
   std::printf("fig_metro: city day, n=%u, side=%.0f m, range=%.0f m\n\n%s\n",
               n, side, kRange, t.render().c_str());
@@ -258,6 +327,10 @@ int main(int argc, char** argv) {
       "capture arena: %llu blocks reused, %llu fresh, %zu bytes carved\n",
       static_cast<unsigned long long>(arena.reused()),
       static_cast<unsigned long long>(arena.fresh()), arena.arena_bytes());
+  if (audit.violations() > 0) {
+    std::printf("audit: first violation: %s\n",
+                audit.first_violation().c_str());
+  }
 
   if (const char* path = std::getenv("QIP_BENCH_JSON")) {
     JsonValue rows = JsonValue::array();
@@ -269,7 +342,10 @@ int main(int argc, char** argv) {
                     .set("events", p.events)
                     .set("allocs", p.allocs)
                     .set("allocs_per_event", p.allocs_per_event)
-                    .set("configured", p.configured));
+                    .set("configured", p.configured)
+                    .set("audit_checks", p.audit_checks)
+                    .set("audit_s", p.audit_s)
+                    .set("audit_violations", p.audit_violations));
     }
     JsonValue doc = JsonValue::object();
     doc.set("bench", "fig_metro")

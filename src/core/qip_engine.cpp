@@ -1382,9 +1382,8 @@ double QipEngine::average_own_space() const {
 
 std::map<NodeId, IpAddress> QipEngine::configured_addresses() const {
   std::map<NodeId, IpAddress> out;
-  nodes_.for_each([&](NodeId id, const QipNodeState& st) {
-    if (st.ip) out.emplace(id, *st.ip);
-  });
+  for_each_configured(
+      [&](NodeId id, IpAddress addr) { out.emplace(id, addr); });
   return out;
 }
 

@@ -127,6 +127,15 @@ class QipEngine : public AutoconfProtocol {
   /// All configured addresses: node -> address (sorted for determinism).
   std::map<NodeId, IpAddress> configured_addresses() const;
 
+  /// fn(id, address) for every node holding an address, in ascending id
+  /// order: configured_addresses() without building the map.
+  template <typename Fn>
+  void for_each_configured(Fn&& fn) const {
+    nodes_.for_each([&](NodeId id, const QipNodeState& st) {
+      if (st.ip) fn(id, *st.ip);
+    });
+  }
+
   // -- Adversary hardening (qip_hardening.cpp, docs/ADVERSARY.md) -----------
 
   /// Installs a SWIM failure detector (not owned; must outlive the engine's

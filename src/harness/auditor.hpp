@@ -6,9 +6,10 @@
 // no queue slot, so settle loops terminate and event interleaving is
 // untouched), it periodically snapshots all configured addresses and throws
 // an InvariantViolation with a full diff when two nodes in the same
-// connected component and audit domain hold the same address, or a protocol
-// keeps ghost state for a node that left the field.  The Driver installs
-// one unconditionally, so every test, example and bench audits for free.
+// connected component and audit domain hold the same address, or the QIP
+// engine keeps ghost state for a node that left the field.  The Driver
+// installs one unconditionally, so every test, example and bench audits for
+// free.
 //
 // Duplicates are fatal only once they outlive `grace`: the paper resolves
 // conflicts *at contact* (§V-C — a reclamation can re-issue an address a
@@ -22,14 +23,23 @@
 // paper mobility) show windows up to ~23 s.  The default grace of 30 leaves
 // margin without masking genuinely stuck duplicates — long runs still abort
 // on any conflict that outlives it.
+//
+// A probe is one flat pass over reused scratch, so it scales to a city: one
+// record per configured node, gathered in component order, and a stamped
+// open-addressing table of record indices that flags the (component,
+// domain, address) keys seen twice.  Only those keys reach the grace-window
+// bookkeeping, in the order (component, domain, address); once the scratch
+// is warm, a probe without conflicts allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "addr/ip_address.hpp"
+#include "net/node_id.hpp"
 #include "net/protocol.hpp"
 #include "sim/simulator.hpp"
 
@@ -72,6 +82,32 @@ class UniquenessAuditor {
     std::vector<NodeId> holders;  ///< sorted holders at last observation
   };
 
+  /// One configured node as the flat pass sees it.  Records are gathered
+  /// component by component, and a component's members ascend, so the
+  /// records of one component are contiguous and ascend by node.
+  struct Record {
+    std::uint64_t domain = 0;
+    std::uint32_t component = 0;
+    IpAddress addr;
+    NodeId node = kNoNode;
+    /// Another record of this component shares its (domain, address).
+    bool duplicate = false;
+
+    auto key() const { return std::tie(component, domain, addr); }
+  };
+
+  /// A probe-table slot, live only while `stamp` equals the current probe's.
+  struct Slot {
+    std::uint32_t stamp = 0;
+    std::uint32_t record = 0;
+  };
+
+  /// Fills records_ and leaves in dups_ the index of every record whose
+  /// (component, domain, address) key occurs more than once.
+  void find_duplicates();
+  void check_uniqueness();
+  void check_leaks();
+
   Simulator& sim_;
   const Topology& topology_;
   const AutoconfProtocol& proto_;
@@ -83,6 +119,11 @@ class UniquenessAuditor {
   std::uint64_t checks_ = 0;
   /// Live conflicts by (audit domain, address).
   std::map<std::pair<std::uint64_t, IpAddress>, PendingConflict> pending_;
+  // Flat-pass scratch, reused by every probe.
+  std::vector<Record> records_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  std::uint32_t stamp_ = 0;
+  std::vector<std::uint32_t> dups_;
 };
 
 }  // namespace qip

@@ -85,8 +85,8 @@ class AutoconfProtocol {
   /// WeakDAD routes around them, PDAD flags them after the fact, Boleng
   /// resolves them at the beacon census — and for MANETconf, whose modeled
   /// concurrent-initiator race can assign one candidate twice (the paper's
-  /// initiator mutual exclusion is not simulated).  Opted-out protocols
-  /// still get the auditor's leak checks.
+  /// initiator mutual exclusion is not simulated).  No protocol but QIP
+  /// gets a leak check: the auditor's reads QIP's engine state.
   virtual bool audit_uniqueness() const { return true; }
 
   bool configured(NodeId id) const {

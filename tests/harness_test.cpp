@@ -2,8 +2,13 @@
 // the figure helpers — the machinery every reported number flows through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/qip_engine.hpp"
@@ -233,9 +238,106 @@ class ScriptedProtocol : public AutoconfProtocol {
     if (it == addresses.end()) return std::nullopt;
     return it->second;
   }
+  std::uint64_t audit_domain(NodeId id) const override {
+    const auto it = domains.find(id);
+    return it == domains.end() ? 0 : it->second;
+  }
 
   std::map<NodeId, IpAddress> addresses;
+  std::map<NodeId, std::uint64_t> domains;  ///< absent: domain 0
 };
+
+/// Reference oracle for UniquenessAuditor's uniqueness check: the algorithm
+/// it replaced, one std::map of holders per connected component, walked in
+/// component order.  With `report` set, a fatal conflict is appended there
+/// and the check goes on (the QIP_AUDIT_TRACE path); otherwise the first
+/// one throws.
+class ReferenceAuditor {
+ public:
+  ReferenceAuditor(const Simulator& sim, const Topology& topology,
+                   const AutoconfProtocol& proto, SimTime grace)
+      : sim_(sim), topology_(topology), proto_(proto), grace_(grace) {}
+
+  std::vector<std::string>* report = nullptr;
+
+  std::size_t conflicts_pending() const { return pending_.size(); }
+
+  void check_now() {
+    const SimTime now = sim_.now();
+    std::set<std::pair<std::uint64_t, IpAddress>> observed;
+    for (const auto& component : topology_.components_view()) {
+      std::map<std::pair<std::uint64_t, IpAddress>, std::vector<NodeId>>
+          holders;
+      for (NodeId id : component) {
+        const auto addr = proto_.address_of(id);
+        if (!addr) continue;
+        holders[{proto_.audit_domain(id), *addr}].push_back(id);
+      }
+      for (auto& [key, hs] : holders) {
+        if (hs.size() < 2) continue;
+        std::sort(hs.begin(), hs.end());
+        auto [pit, new_conflict] = pending_.try_emplace(key);
+        PendingConflict& pc = pit->second;
+        std::vector<NodeId> carried;
+        std::set_intersection(pc.holders.begin(), pc.holders.end(),
+                              hs.begin(), hs.end(),
+                              std::back_inserter(carried));
+        if (new_conflict || carried.size() < 2) pc.since = now;
+        pc.holders = hs;
+        pc.last_seen = now;
+        observed.insert(key);
+        if (now - pc.since < grace_) continue;
+        std::ostringstream diff;
+        diff << "duplicate address at t=" << now << ": " << key.second
+             << " held by nodes " << hs[0] << " and " << hs[1];
+        if (hs.size() > 2) diff << " (and " << hs.size() - 2 << " more)";
+        diff << " in the same connected component since t=" << pc.since
+             << " (grace " << grace_ << "s exceeded; domain " << key.first
+             << ", protocol " << proto_.name() << ")";
+        if (report != nullptr) {
+          report->push_back(diff.str());
+          continue;
+        }
+        QIP_ASSERT_MSG(false, diff.str());
+      }
+    }
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (!observed.count(it->first) && now - it->second.last_seen > grace_)
+        it = pending_.erase(it);
+      else
+        ++it;
+    }
+  }
+
+ private:
+  struct PendingConflict {
+    SimTime since = 0.0;
+    SimTime last_seen = 0.0;
+    std::vector<NodeId> holders;
+  };
+
+  const Simulator& sim_;
+  const Topology& topology_;
+  const AutoconfProtocol& proto_;
+  SimTime grace_;
+  std::map<std::pair<std::uint64_t, IpAddress>, PendingConflict> pending_;
+};
+
+/// What a check reported: the diff of its InvariantViolation, without the
+/// "invariant violated: (...) at file:line — " prefix naming the source
+/// line that threw, or "" when it passed.
+template <typename Auditor>
+std::string audit_outcome(Auditor& auditor) {
+  try {
+    auditor.check_now();
+  } catch (const InvariantViolation& e) {
+    const std::string what = e.what();
+    const std::string sep = " — ";
+    const auto at = what.find(sep);
+    return at == std::string::npos ? what : what.substr(at + sep.size());
+  }
+  return "";
+}
 
 struct AuditorFixture : ::testing::Test {
   AuditorFixture() {
@@ -324,6 +426,59 @@ TEST_F(AuditorFixture, ConflictQuietForAFullGraceIsResolved) {
   EXPECT_THROW(auditor.check_now(), InvariantViolation);
 }
 
+TEST_F(AuditorFixture, CrossComponentDuplicateIsNotAViolation) {
+  topo.add_node(3, {500.0, 0.0});  // out of range of nodes 1 and 2
+  proto.addresses = {{1, kAddr}, {3, kAddr}};
+  auditor.check_now();
+  EXPECT_EQ(auditor.conflicts_pending(), 0u);
+  sim.run(11.0);
+  EXPECT_NO_THROW(auditor.check_now());
+  EXPECT_EQ(auditor.conflicts_pending(), 0u);
+}
+
+TEST_F(AuditorFixture, CrossDomainDuplicateIsNotAViolation) {
+  proto.addresses = {{1, kAddr}, {2, kAddr}};
+  proto.domains = {{2, 1}};  // a healed partition pending merge
+  auditor.check_now();
+  EXPECT_EQ(auditor.conflicts_pending(), 0u);
+  sim.run(11.0);
+  EXPECT_NO_THROW(auditor.check_now());
+  EXPECT_EQ(auditor.conflicts_pending(), 0u);
+}
+
+// Two fatal conflicts in one check: the one in the lower component index
+// (components are ordered by smallest member) is reported, even when the
+// other has the lower (domain, address).
+TEST_F(AuditorFixture, LowerComponentIsReportedFirst) {
+  topo.add_node(5, {500.0, 0.0});
+  topo.add_node(6, {510.0, 0.0});
+  const IpAddress low{0x0A000001}, high{0x0A000003};
+  proto.addresses = {{1, high}, {2, high}, {5, low}, {6, low}};
+  proto.domains = {{1, 1}, {2, 1}};
+  auditor.check_now();
+  EXPECT_EQ(auditor.conflicts_pending(), 2u);
+  sim.run(11.0);
+  const std::string outcome = audit_outcome(auditor);
+  EXPECT_NE(outcome.find("10.0.0.3 held by nodes 1 and 2"), std::string::npos)
+      << outcome;
+}
+
+// Within one component, the lower (domain, address) is reported first:
+// domain before address.
+TEST_F(AuditorFixture, LowerDomainThenAddressIsReportedFirst) {
+  topo.add_node(3, {20.0, 0.0});
+  topo.add_node(4, {30.0, 0.0});
+  const IpAddress low{0x0A000001}, high{0x0A000003};
+  proto.addresses = {{1, high}, {2, high}, {3, low}, {4, low}};
+  proto.domains = {{3, 1}, {4, 1}};
+  auditor.check_now();
+  EXPECT_EQ(auditor.conflicts_pending(), 2u);
+  sim.run(11.0);
+  const std::string outcome = audit_outcome(auditor);
+  EXPECT_NE(outcome.find("10.0.0.3 held by nodes 1 and 2"), std::string::npos)
+      << outcome;
+}
+
 // QIP_AUDIT_TRACE is a strict switch read once per auditor: "0" and "off"
 // mean off, so a duplicate that outlives the grace window stays fatal.
 TEST_F(AuditorFixture, TraceSwitchOffKeepsDuplicatesFatal) {
@@ -360,6 +515,109 @@ TEST_F(AuditorFixtureDeathTest, MalformedTraceSwitchExitsTwo) {
         ::testing::ExitedWithCode(2), "invalid QIP_AUDIT_TRACE");
   }
   unsetenv("QIP_AUDIT_TRACE");
+}
+
+// The flat pass against the per-component maps it replaced.  Twelve nodes
+// on a line (each in range of its neighbours only) leave and re-enter, so
+// the line splits and rejoins; addresses come from a pool of three, audit
+// domains from two, and the clock advances 0.5-4 s against a 10 s grace.
+// After every step both auditors must agree on whether the check throws,
+// on what it reports and on the conflicts still pending.
+TEST(AuditorDifferential, FlatPassMatchesPerComponentMaps) {
+  Simulator sim;
+  Topology topo{Rect{1200.0, 100.0}, 120.0};
+  MessageStats stats;
+  Transport transport{sim, topo, stats, 0.01};
+  Rng rng{99};
+  ScriptedProtocol proto{transport, rng};
+  UniquenessAuditor auditor{sim, topo, proto, /*period=*/1e9, /*grace=*/10.0};
+  ReferenceAuditor oracle{sim, topo, proto, /*grace=*/10.0};
+
+  constexpr NodeId kNodes = 12;
+  const auto slot = [](NodeId id) { return Point{100.0 * id, 50.0}; };
+  for (NodeId id = 0; id < kNodes; ++id) topo.add_node(id, slot(id));
+  const IpAddress pool[] = {IpAddress{0x0A000001}, IpAddress{0x0A000002},
+                            IpAddress{0x0A000003}};
+
+  Rng script{2024};
+  for (NodeId id = 0; id < kNodes; ++id) {
+    proto.addresses[id] = pool[script.index(3)];
+    proto.domains[id] = script.index(2);
+  }
+  int fatal_steps = 0, multi_fatal_steps = 0, split_steps = 0;
+  for (int step = 0; step < 240; ++step) {
+    for (int edit = script.uniform_int(1, 2); edit > 0; --edit) {
+      const auto id = static_cast<NodeId>(script.index(kNodes));
+      const double what = script.uniform();
+      if (what < 0.3) {
+        const std::size_t a = script.index(4);
+        if (a == 3) {
+          proto.addresses.erase(id);
+        } else {
+          proto.addresses[id] = pool[a];
+        }
+      } else if (what < 0.45) {
+        proto.domains[id] = script.index(2);
+      } else if (!topo.has_node(id)) {
+        topo.add_node(id, slot(id));  // re-enters in its old place
+      } else if (script.chance(0.3)) {
+        topo.remove_node(id);  // leaves: the line splits around it
+      }
+    }
+    sim.run(sim.now() + 0.5 * static_cast<double>(script.uniform_int(1, 8)));
+
+    // How many conflicts are fatal right now, from a copy of the oracle
+    // that reports them all instead of throwing at the first.
+    std::vector<std::string> fatal;
+    ReferenceAuditor shadow = oracle;
+    shadow.report = &fatal;
+    shadow.check_now();
+
+    const std::string want = audit_outcome(oracle);
+    const std::string got = audit_outcome(auditor);
+    ASSERT_EQ(got, want) << "step " << step;
+    ASSERT_EQ(auditor.conflicts_pending(), oracle.conflicts_pending())
+        << "step " << step;
+    ASSERT_EQ(want.empty(), fatal.empty()) << "step " << step;
+    if (!fatal.empty()) {
+      ASSERT_EQ(want, fatal.front()) << "step " << step;
+    }
+    fatal_steps += !fatal.empty();
+    multi_fatal_steps += fatal.size() >= 2;
+    split_steps += topo.components_view().size() >= 2;
+  }
+  // The script must have exercised both outcomes, simultaneous fatal
+  // conflicts, and the line both split and whole.
+  EXPECT_GE(fatal_steps, 20);
+  EXPECT_LE(fatal_steps, 220);
+  EXPECT_GE(multi_fatal_steps, 10);
+  EXPECT_GE(split_steps, 100);
+  EXPECT_LE(split_steps, 235);
+}
+
+// A QIP node taken out of the topology without node_left/node_vanished
+// keeps its address in the engine's state: the leak check must catch it.
+TEST(Auditor, EngineStateForANodeOffTheFieldIsALeak) {
+  World world(WorldParams{}, 21);
+  QipEngine proto(world.transport(), world.rng(), QipParams{});
+  proto.start_hello();
+  DriverOptions dopt;
+  dopt.mobility = false;
+  dopt.audit = false;  // the auditor under test is the only one
+  Driver driver(world, proto, dopt);
+  const auto ids = driver.join(4);
+  world.run_for(3.0);
+  ASSERT_TRUE(proto.address_of(ids[2]).has_value());
+  UniquenessAuditor auditor{world.sim(), world.topology(), proto,
+                            /*period=*/1e9, /*grace=*/30.0};
+  EXPECT_EQ(audit_outcome(auditor), "");
+  world.topology().remove_node(ids[2]);  // the engine is never told
+  const std::string outcome = audit_outcome(auditor);
+  EXPECT_EQ(outcome.rfind("leaked address", 0), 0u) << outcome;
+  EXPECT_NE(outcome.find("node " + std::to_string(ids[2]) +
+                         " left the field but still holds"),
+            std::string::npos)
+      << outcome;
 }
 
 }  // namespace

@@ -42,8 +42,9 @@
 #     regenerate with
 #     QIP_METRO_NODES=100000 QIP_BENCH_JSON=BENCH_metro.json bench/fig_metro
 #     Wall-clock and RSS numbers are machine-dependent; the gates below check
-#     scale, coverage, the allocation/topology invariants and the departure
-#     phase's peak RSS relative to the drift phase's, not timings.
+#     scale, coverage, the allocation/topology invariants, the audit's check
+#     counts, and two ratios within the run (departure peak RSS to drift
+#     peak RSS, audit seconds to wall seconds), not absolute timings.
 if(NOT DEFINED JSON_FILE OR NOT DEFINED KIND)
   message(FATAL_ERROR
       "check_bench_json.cmake needs -DJSON_FILE=... and -DKIND=...")
@@ -288,7 +289,7 @@ elseif(KIND STREQUAL "metro")
   math(EXPR last "${n_phases} - 1")
   foreach(i RANGE ${last})
     foreach(key name wall_s peak_rss_mib events allocs allocs_per_event
-                configured)
+                configured audit_checks audit_s audit_violations)
       string(JSON v ERROR_VARIABLE err GET "${doc}" "phases" ${i} "${key}")
       if(err)
         message(FATAL_ERROR "${JSON_FILE}: phases[${i}] lacks '${key}': "
@@ -302,25 +303,58 @@ elseif(KIND STREQUAL "metro")
           "expected '${expected}'")
     endif()
   endforeach()
-  # Departures must not blow up memory: the departure phase's peak RSS stays
-  # within 2x the drift phase's.  Reclamation once wrote one table record
-  # per address of a dead head's space into every replica (a 7.3 GiB
-  # departure peak against 312 MiB in drift at n=100k).  RSS is compared
-  # in integer thousandths of a MiB (math(EXPR) has no floats).
-  macro(mib_to_milli out value)
+  # Decimals are compared in integer thousandths (math(EXPR) has no floats).
+  macro(to_milli out value key)
     if(NOT "${value}" MATCHES "^([0-9]+)(\\.([0-9]*))?$")
-      message(FATAL_ERROR "${JSON_FILE}: peak_rss_mib '${value}' is not a "
-          "plain decimal")
+      message(FATAL_ERROR "${JSON_FILE}: ${key} '${value}' is not a plain "
+          "decimal")
     endif()
     set(int_part "${CMAKE_MATCH_1}")
     string(SUBSTRING "${CMAKE_MATCH_3}000" 0 3 frac_part)
     # "1${frac_part} - 1000" keeps a leading zero from reading as octal.
     math(EXPR ${out} "${int_part} * 1000 + 1${frac_part} - 1000")
   endmacro()
+  # The whole day is audited at qip-benchmark's cadence: one check per
+  # 0.5 s slice, plus one after each of the 20 departure waves.  The counts
+  # follow from the phases' simulated lengths, so an audit dropped from a
+  # phase fails here.  The audit may cost at most 5% of the day's wall
+  # clock, a ratio within one run.  Violations are reported, not gated.
+  set(expected_checks 66 40 60 40)
+  set(audit_milli 0)
+  set(wall_milli 0)
+  set(violations 0)
+  foreach(i RANGE ${last})
+    string(JSON checks GET "${doc}" "phases" ${i} "audit_checks")
+    list(GET expected_checks ${i} expected)
+    if(NOT checks EQUAL expected)
+      list(GET expected_phases ${i} pname)
+      message(FATAL_ERROR "${JSON_FILE}: ${pname} ran ${checks} audit "
+          "checks, expected ${expected} — the city day is not audited at "
+          "every 0.5 s slice")
+    endif()
+    string(JSON phase_audit GET "${doc}" "phases" ${i} "audit_s")
+    string(JSON phase_wall GET "${doc}" "phases" ${i} "wall_s")
+    to_milli(phase_audit_milli "${phase_audit}" "phases[${i}].audit_s")
+    to_milli(phase_wall_milli "${phase_wall}" "phases[${i}].wall_s")
+    string(JSON phase_violations GET "${doc}" "phases" ${i}
+        "audit_violations")
+    math(EXPR audit_milli "${audit_milli} + ${phase_audit_milli}")
+    math(EXPR wall_milli "${wall_milli} + ${phase_wall_milli}")
+    math(EXPR violations "${violations} + ${phase_violations}")
+  endforeach()
+  math(EXPR audit_budget "${wall_milli} / 20")
+  if(audit_milli GREATER audit_budget)
+    message(FATAL_ERROR "${JSON_FILE}: the audit took ${audit_milli} ms of "
+        "${wall_milli} ms wall clock (> 5%)")
+  endif()
+  # Departures must not blow up memory: the departure phase's peak RSS stays
+  # within 2x the drift phase's.  Reclamation once wrote one table record
+  # per address of a dead head's space into every replica (a 7.3 GiB
+  # departure peak against 312 MiB in drift at n=100k).
   string(JSON drift_rss GET "${doc}" "phases" 1 "peak_rss_mib")
   string(JSON departure_rss GET "${doc}" "phases" 2 "peak_rss_mib")
-  mib_to_milli(drift_milli "${drift_rss}")
-  mib_to_milli(departure_milli "${departure_rss}")
+  to_milli(drift_milli "${drift_rss}" "peak_rss_mib")
+  to_milli(departure_milli "${departure_rss}" "peak_rss_mib")
   math(EXPR departure_budget "${drift_milli} * 2")
   if(departure_milli GREATER departure_budget)
     message(FATAL_ERROR "${JSON_FILE}: departure peak_rss_mib "
@@ -376,7 +410,8 @@ elseif(KIND STREQUAL "metro")
   endif()
   message(STATUS "${JSON_FILE}: n=${nodes}, ${crowd_configured} configured, "
       "plateau allocs/event ${plateau_allocs}, ${patches} patches / "
-      "${rebuilds} rebuilds — OK")
+      "${rebuilds} rebuilds, audit ${audit_milli}/${wall_milli} ms with "
+      "${violations} violations — OK")
 else()
   message(FATAL_ERROR
       "unknown KIND '${KIND}' (expected adversary, micro, event_queue, "
