@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "cluster/cluster_view.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 
@@ -16,13 +17,17 @@ using namespace qip;
 
 namespace {
 
-/// The paper's 1 km^2 field up to its 400 nodes.  Larger arms grow the
-/// field at the city's constant density (~9 expected neighbors, the area
-/// formula of qip-benchmark and fig_metro), so their per-query cost reads
-/// against n, not against a denser graph.
-double field_side(std::uint32_t n, double range) {
-  if (n <= 400) return 1000.0;
+/// Side of a square field holding `n` nodes at the city's constant density
+/// (~9 expected neighbors, the area formula of qip-benchmark and fig_metro).
+double city_side(std::uint32_t n, double range) {
   return std::sqrt(n * 3.14159265358979 * range * range / 9.0);
+}
+
+/// The paper's 1 km^2 field up to its 400 nodes.  Larger arms grow the
+/// field at the city's density, so their per-query cost reads against n,
+/// not against a denser graph.
+double field_side(std::uint32_t n, double range) {
+  return n <= 400 ? 1000.0 : city_side(n, range);
 }
 
 Topology make_topology(std::uint32_t n, double range, Rng& rng) {
@@ -86,6 +91,26 @@ static void BM_RingQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingQuery)->Arg(200)->Arg(4000);
+
+static void BM_HeadsWithin(benchmark::State& state) {
+  // ClusterView::heads_within at radius 3, the QDSet ring every head
+  // searches each hello tick, at city density for both sizes, with about
+  // one node in eight a head.  Every node the BFS visits costs a role test.
+  Rng rng(10);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const double side = city_side(n, 150.0);
+  Topology topo(Rect{side, side}, 150.0);
+  ClusterView view(topo);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    topo.add_node(i, topo.area().sample(rng));
+    if (rng.chance(1.0 / 8.0)) view.set_head(i);
+  }
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(view.heads_within(i++ % n, 3));
+  }
+}
+BENCHMARK(BM_HeadsWithin)->Arg(200)->Arg(4000);
 
 static void BM_Components(benchmark::State& state) {
   Rng rng(7);

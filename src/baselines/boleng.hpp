@@ -43,7 +43,7 @@ class BolengProtocol : public AutoconfProtocol {
   bool audit_uniqueness() const override { return false; }
 
   void node_entered(NodeId id) override;
-  void node_departing(NodeId id) override {}  // addresses are never returned
+  void node_departing(NodeId) override {}  // addresses are never returned
   void node_left(NodeId id) override;
   void node_vanished(NodeId id) override { node_left(id); }
 

@@ -29,7 +29,7 @@ class DadProtocol : public AutoconfProtocol {
   std::string name() const override { return "DAD"; }
 
   void node_entered(NodeId id) override;
-  void node_departing(NodeId id) override {}  // stateless: nothing to return
+  void node_departing(NodeId) override {}  // stateless: nothing to return
   void node_left(NodeId id) override;
   void node_vanished(NodeId id) override { node_left(id); }
 

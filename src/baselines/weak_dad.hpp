@@ -48,7 +48,7 @@ class WeakDadProtocol : public AutoconfProtocol {
   bool audit_uniqueness() const override { return false; }
 
   void node_entered(NodeId id) override;
-  void node_departing(NodeId id) override {}  // stateless: nothing to return
+  void node_departing(NodeId) override {}  // stateless: nothing to return
   void node_left(NodeId id) override;
   void node_vanished(NodeId id) override { node_left(id); }
 

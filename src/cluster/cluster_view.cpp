@@ -18,73 +18,72 @@ const char* to_string(Role role) {
   return "?";
 }
 
-Role ClusterView::role(NodeId id) const {
-  auto it = roles_.find(id);
-  return it == roles_.end() ? Role::kUnconfigured : it->second;
+ClusterView::Slot& ClusterView::slot(NodeId id) {
+  if (id >= plane_.size()) plane_.resize(std::size_t{id} + 1);
+  return plane_[id];
 }
 
 void ClusterView::set_head(NodeId id) {
   QIP_ASSERT_MSG(role(id) != Role::kClusterHead, "node " << id << " already a head");
+  Slot& s = slot(id);
   // A common node promoted to head (partition recovery) leaves its cluster.
-  auto member_it = member_head_.find(id);
-  if (member_it != member_head_.end()) {
-    auto cluster_it = cluster_.find(member_it->second);
+  if (s.head != kNoNode) {
+    auto cluster_it = cluster_.find(s.head);
     if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
-    member_head_.erase(member_it);
   }
-  roles_[id] = Role::kClusterHead;
-  heads_.insert(id);
-  cluster_.try_emplace(id);
+  s = Slot{Role::kClusterHead, kNoNode};
 }
 
 void ClusterView::set_member(NodeId id, NodeId head) {
-  QIP_ASSERT_MSG(heads_.count(head), "configuring under non-head " << head);
+  QIP_ASSERT_MSG(is_head(head), "configuring under non-head " << head);
   QIP_ASSERT_MSG(role(id) != Role::kClusterHead,
                  "head " << id << " cannot become a member");
-  roles_[id] = Role::kCommonNode;
-  member_head_[id] = head;
+  slot(id) = Slot{Role::kCommonNode, head};
   cluster_[head].insert(id);
+}
+
+void ClusterView::set_orphan(NodeId id) {
+  QIP_ASSERT_MSG(role(id) == Role::kUnconfigured,
+                 "node " << id << " is already configured");
+  slot(id) = Slot{Role::kCommonNode, kNoNode};
 }
 
 void ClusterView::reassign_member(NodeId id, NodeId new_head) {
   QIP_ASSERT(role(id) == Role::kCommonNode);
-  QIP_ASSERT(heads_.count(new_head));
-  auto it = member_head_.find(id);
-  if (it != member_head_.end()) {
-    auto cluster_it = cluster_.find(it->second);
+  QIP_ASSERT(is_head(new_head));
+  Slot& s = plane_[id];
+  if (s.head != kNoNode) {
+    auto cluster_it = cluster_.find(s.head);
     if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
   }
-  member_head_[id] = new_head;
+  s.head = new_head;
   cluster_[new_head].insert(id);
 }
 
 void ClusterView::remove(NodeId id) {
   const Role r = role(id);
+  if (r == Role::kUnconfigured) return;
   if (r == Role::kClusterHead) {
     // Members become orphaned (kept as common nodes with no head) until the
     // protocol reassigns them.
     auto cluster_it = cluster_.find(id);
     if (cluster_it != cluster_.end()) {
-      for (NodeId member : cluster_it->second) member_head_.erase(member);
+      for (NodeId member : cluster_it->second) plane_[member].head = kNoNode;
       cluster_.erase(cluster_it);
     }
-    heads_.erase(id);
-  } else if (r == Role::kCommonNode) {
-    auto it = member_head_.find(id);
-    if (it != member_head_.end()) {
-      auto cluster_it = cluster_.find(it->second);
-      if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
-      member_head_.erase(it);
-    }
+  } else if (plane_[id].head != kNoNode) {
+    auto cluster_it = cluster_.find(plane_[id].head);
+    if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
   }
-  roles_.erase(id);
+  plane_[id] = Slot{};
 }
 
 std::optional<NodeId> ClusterView::head_of(NodeId id) const {
-  if (is_head(id)) return id;
-  auto it = member_head_.find(id);
-  if (it == member_head_.end()) return std::nullopt;
-  return it->second;
+  if (id >= plane_.size()) return std::nullopt;
+  const Slot& s = plane_[id];
+  if (s.role == Role::kClusterHead) return id;
+  if (s.head == kNoNode) return std::nullopt;
+  return s.head;
 }
 
 std::vector<NodeId> ClusterView::members_of(NodeId head) const {
@@ -97,22 +96,31 @@ std::vector<NodeId> ClusterView::members_of(NodeId head) const {
 }
 
 std::vector<NodeId> ClusterView::heads() const {
-  std::vector<NodeId> out(heads_.begin(), heads_.end());
-  std::sort(out.begin(), out.end());
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < plane_.size(); ++id) {
+    if (plane_[id].role == Role::kClusterHead) out.push_back(id);
+  }
   return out;
+}
+
+std::size_t ClusterView::head_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(plane_.begin(), plane_.end(), [](const Slot& s) {
+        return s.role == Role::kClusterHead;
+      }));
 }
 
 std::vector<NodeId> ClusterView::heads_within(NodeId id, std::uint32_t k) const {
   // One bounded BFS that keeps only the heads: no memoized k-hop set is
   // built, and only the short head list is sorted.
-  std::vector<std::pair<std::uint32_t, NodeId>> found;
+  ring_.clear();
   topology_->for_each_within(id, k, [&](NodeId node, std::uint32_t dist) {
-    if (dist > 0 && heads_.count(node)) found.emplace_back(dist, node);
+    if (dist > 0 && is_head(node)) ring_.emplace_back(dist, node);
   });
-  std::sort(found.begin(), found.end());
+  std::sort(ring_.begin(), ring_.end());
   std::vector<NodeId> out;
-  out.reserve(found.size());
-  for (const auto& [dist, node] : found) out.push_back(node);
+  out.reserve(ring_.size());
+  for (const auto& [dist, node] : ring_) out.push_back(node);
   return out;
 }
 
@@ -130,7 +138,7 @@ std::optional<NodeId> ClusterView::nearest_head(NodeId id) const {
     std::size_t seen = 0;
     topology_->for_each_within(id, radius, [&](NodeId n, std::uint32_t d) {
       ++seen;
-      if (n == id || !heads_.count(n)) return;
+      if (n == id || !is_head(n)) return;
       const std::pair<std::uint32_t, NodeId> cand{d, n};
       if (!best || cand < *best) best = cand;
     });
@@ -141,10 +149,10 @@ std::optional<NodeId> ClusterView::nearest_head(NodeId id) const {
 }
 
 bool ClusterView::heads_nonadjacent() const {
-  for (NodeId head : heads_) {
-    if (!topology_->has_node(head)) continue;
+  for (NodeId head = 0; head < plane_.size(); ++head) {
+    if (!is_head(head) || !topology_->has_node(head)) continue;
     for (NodeId n : topology_->neighbors_view(head)) {
-      if (heads_.count(n)) return false;
+      if (is_head(n)) return false;
     }
   }
   return true;

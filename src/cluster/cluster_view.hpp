@@ -6,12 +6,21 @@
 // head.  ClusterView tracks role assignments and membership and answers the
 // topology-coupled queries the protocol needs ("is there a head within two
 // hops?", "which heads are in my 3-hop QDSet neighborhood?").
+//
+// Roles and member -> head links live in a dense plane indexed by node id
+// (driver ids are sequential, as in NodeTable's rank index): role(),
+// is_head() and head_of() are one array read, which is what the hello
+// tick's ring searches pay for every node their BFS visits.  Ids past the
+// plane's end are unconfigured.  heads() and head_count() walk the plane.
+// Only head -> members stays a hash map; it serves members_of() and the
+// orphaning in remove(), neither of which runs per visited node.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/node_id.hpp"
@@ -31,7 +40,9 @@ class ClusterView {
  public:
   explicit ClusterView(const Topology& topology) : topology_(&topology) {}
 
-  Role role(NodeId id) const;
+  Role role(NodeId id) const {
+    return id < plane_.size() ? plane_[id].role : Role::kUnconfigured;
+  }
   bool is_head(NodeId id) const { return role(id) == Role::kClusterHead; }
 
   /// Declares `id` a cluster head (it becomes its own cluster's head).
@@ -39,6 +50,11 @@ class ClusterView {
 
   /// Declares `id` a common node in `head`'s cluster.
   void set_member(NodeId id, NodeId head);
+
+  /// Declares `id` a common node with no head: its allocator stopped being
+  /// a head while the configuration was in flight.  Like the members a
+  /// removed head leaves behind, it waits for reassign_member.
+  void set_orphan(NodeId id);
 
   /// Moves `id` (a common node) into another head's cluster.
   void reassign_member(NodeId id, NodeId new_head);
@@ -57,7 +73,7 @@ class ClusterView {
   /// All current cluster heads, sorted.
   std::vector<NodeId> heads() const;
 
-  std::size_t head_count() const { return heads_.size(); }
+  std::size_t head_count() const;
 
   /// Cluster heads within `k` hops of `id` on the current topology
   /// (excluding `id` itself), sorted by (hop distance, id).
@@ -71,11 +87,20 @@ class ClusterView {
   bool heads_nonadjacent() const;
 
  private:
+  struct Slot {
+    Role role = Role::kUnconfigured;
+    NodeId head = kNoNode;  // a common node's head; kNoNode when orphaned
+  };
+
+  /// `id`'s slot, growing the plane to reach it.
+  Slot& slot(NodeId id);
+
   const Topology* topology_;
-  std::unordered_map<NodeId, Role> roles_;
-  std::unordered_map<NodeId, NodeId> member_head_;       // member -> head
+  std::vector<Slot> plane_;  // id -> role and head
   std::unordered_map<NodeId, std::unordered_set<NodeId>> cluster_;  // head -> members
-  std::unordered_set<NodeId> heads_;
+  // heads_within's (hops, id) pairs, reused so a query allocates only its
+  // result.
+  mutable std::vector<std::pair<std::uint32_t, NodeId>> ring_;
 };
 
 }  // namespace qip

@@ -1045,7 +1045,14 @@ void QipEngine::complete_common(NodeId id, NodeId allocator, IpAddress addr,
   st.configurer = allocator;
   st.administrator = kNoNode;
   st.network_id = network_id;
-  if (clusters_.is_head(allocator)) clusters_.set_member(id, allocator);
+  // An allocator that stopped being a head while COM_CFG was in flight
+  // leaves the node orphaned, as a removed head leaves its members; a later
+  // ALLOC_CHANGE reassigns it.
+  if (clusters_.is_head(allocator)) {
+    clusters_.set_member(id, allocator);
+  } else {
+    clusters_.set_orphan(id);
+  }
 
   auto& rec = record_for(id);
   rec.success = true;

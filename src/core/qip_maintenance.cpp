@@ -7,6 +7,7 @@
 #include "fault/adversary.hpp"
 #include "net/failure_detector.hpp"
 #include "sim/sim_context.hpp"
+#include "util/flat_hash.hpp"
 
 namespace qip {
 
@@ -81,30 +82,41 @@ void QipEngine::refresh_network_ids() {
   // lost its lowest node adopts a higher id, which is exactly what lets a
   // later heal be detected as a merge.  The refresh runs after merge_scan
   // so a freshly healed boundary is detected before ids unify.
+  //
+  // Epoch nonces separate pools born independently; each epoch group in a
+  // component tracks its own minimum.  A component can hold thousands of
+  // groups: isolated arrivals each start a network and merge_scan dissolves
+  // one network per tick, so in the n=100k city day the giant component
+  // holds 7,000-7,750 groups from t=15 s to the end (a 4,000-node city's,
+  // up to ~300).  Groups are therefore found by hash, in one flat table
+  // reused across components.
+  struct Group {
+    IpAddress lowest;            // lowest IP held in the group
+    IpAddress first_low;         // the first member's network-id low
+    bool lows_disagree = false;  // some member carries a different low
+  };
+  FlatHashMap<std::uint64_t, Group> groups;  // epoch nonce -> group
   for (const auto& component : topology().components_view()) {
-    // Epoch nonces separate pools born independently; each epoch group in
-    // the component tracks its own minimum.
-    std::map<std::uint64_t, IpAddress> lows;
-    std::map<std::uint64_t, std::set<IpAddress>> seen_lows;
+    groups.clear();
     for (NodeId id : component) {
-      if (!alive(id)) continue;
-      const auto& st = node(id);
-      if (st.role == Role::kUnconfigured || !st.ip) continue;
-      auto [it, fresh] = lows.try_emplace(st.network_id.nonce, *st.ip);
-      if (!fresh && *st.ip < it->second) it->second = *st.ip;
-      seen_lows[st.network_id.nonce].insert(st.network_id.low);
+      const QipNodeState* st = nodes_.find(id);
+      if (st == nullptr || st->role == Role::kUnconfigured || !st->ip) continue;
+      const NetworkId& net = st->network_id;
+      auto [g, fresh] = groups.emplace(net.nonce, Group{*st->ip, net.low});
+      if (fresh) continue;
+      if (*st->ip < g->lowest) g->lowest = *st->ip;
+      if (net.low != g->first_low) g->lows_disagree = true;
     }
     for (NodeId id : component) {
-      if (!alive(id)) continue;
-      auto& st = node(id);
-      if (st.role == Role::kUnconfigured || !st.ip) continue;
+      QipNodeState* st = nodes_.find(id);
+      if (st == nullptr || st->role == Role::kUnconfigured || !st->ip) continue;
       // A nonce group whose members disagree on the low is a *pending
       // merge* (two healed partitions): leave the ids divergent so
       // merge_scan can still detect the boundary on a later tick —
       // unifying them here would hide the merge and with it the
       // duplicate-address resolution.
-      if (seen_lows.at(st.network_id.nonce).size() > 1) continue;
-      st.network_id.low = lows.at(st.network_id.nonce);
+      const Group& g = *groups.find(st->network_id.nonce);
+      if (!g.lows_disagree) st->network_id.low = g.lowest;
     }
   }
 }
@@ -180,7 +192,9 @@ void QipEngine::head_neighborhood_scan(NodeId head) {
   }
 
   // 2. Newly adjacent heads expand the quorum set.
-  for (NodeId h : clusters_.heads_within(head, params_.qdset_radius)) {
+  const std::vector<NodeId> ring =
+      clusters_.heads_within(head, params_.qdset_radius);
+  for (NodeId h : ring) {
     if (!alive(h) || is_quarantined(h) || st.qdset.count(h)) continue;
     add_qdset_link(head, h, Traffic::kMaintenance);
   }
@@ -194,8 +208,12 @@ void QipEngine::head_neighborhood_scan(NodeId head) {
 
   // 4. Isolation (§V-C): a head that once had a quorum group but can reach
   // no other head at all cannot assemble any quorum; after a few patient
-  // scans it restarts as a fresh network.
-  const bool sees_other_head = clusters_.nearest_head(head).has_value();
+  // scans it restarts as a fresh network.  No role or link has changed
+  // since step 2 (the steps in between only send, and delivery is
+  // asynchronous), so the ring still holds: a head inside it settles the
+  // question, and only an empty ring pays for the expanding search.
+  const bool sees_other_head =
+      !ring.empty() || clusters_.nearest_head(head).has_value();
   if (!sees_other_head && !st.replicas.empty()) {
     if (++st.isolation_ticks >= params_.isolation_patience) {
       st.isolation_ticks = 0;

@@ -206,17 +206,15 @@ void QipEngine::absorb_network(NodeId detector, NetworkId loser_id) {
   // Only losers in the detector's component reconfigure — nodes of the
   // losing network that are out of reach cannot hear the merge flood and
   // will be detected at their own boundary when they come back.
-  std::set<NodeId> reachable;
-  if (topology().has_node(detector)) {
-    const auto& comp = topology().component_view(detector);
-    reachable.insert(comp.begin(), comp.end());
-  }
+  // The component is sorted by id, the order the rejoins are staggered in.
   std::vector<NodeId> losers;
-  nodes_.for_each([&](NodeId id, const QipNodeState& st) {
-    if (st.role == Role::kUnconfigured) return;
-    if (st.network_id == loser_id && reachable.count(id))
-      losers.push_back(id);
-  });
+  if (topology().has_node(detector)) {
+    for (NodeId id : topology().component_view(detector)) {
+      const QipNodeState* st = nodes_.find(id);
+      if (st == nullptr || st->role == Role::kUnconfigured) continue;
+      if (st->network_id == loser_id) losers.push_back(id);
+    }
+  }
   if (losers.empty()) return;
   if (ctx().tracing_on()) {
     ctx().recorder().instant(

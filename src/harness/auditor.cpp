@@ -165,6 +165,15 @@ void UniquenessAuditor::check_leaks() {
   // from the field — such a ghost would keep its address allocated forever.
   const auto* qip = dynamic_cast<const QipEngine*>(&proto_);
   if (qip == nullptr) return;
+  // The uniqueness pass just recorded every addressed node on the field,
+  // and each of them is an addressed engine node: the counts are equal
+  // exactly when no addressed node is off the field.  Only a mismatch pays
+  // a field lookup per node to name the ghost.
+  if (proto_.audit_uniqueness()) {
+    std::size_t addressed = 0;
+    qip->for_each_configured([&](NodeId, IpAddress) { ++addressed; });
+    if (addressed == records_.size()) return;
+  }
   qip->for_each_configured([&](NodeId id, IpAddress addr) {
     if (topology_.has_node(id)) return;
     std::ostringstream diff;

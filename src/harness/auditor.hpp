@@ -29,7 +29,9 @@
 // open-addressing table of record indices that flags the (component,
 // domain, address) keys seen twice.  Only those keys reach the grace-window
 // bookkeeping, in the order (component, domain, address); once the scratch
-// is warm, a probe without conflicts allocates nothing.
+// is warm, a probe without conflicts allocates nothing.  The leak check
+// counts the engine's addressed nodes against the pass's records and looks
+// nodes up on the field only when the two differ.
 #pragma once
 
 #include <cstdint>

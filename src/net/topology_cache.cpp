@@ -336,31 +336,37 @@ const TopologyCache::Components& TopologyCache::components(
 }
 
 void TopologyCache::rebuild_components() {
+  // Label every live slot with its group; the outer scan ascends, so groups
+  // are numbered by smallest member.
   const auto n = static_cast<std::uint32_t>(csr_.ids.size());
-  comps_.groups.clear();
   comps_.group_of.assign(n, kUnreached);
+  std::uint32_t groups = 0;
   for (std::uint32_t r = 0; r < n; ++r) {
     if (!csr_.live[r] || comps_.group_of[r] != kUnreached) continue;
-    const auto group = static_cast<std::uint32_t>(comps_.groups.size());
     queue_.clear();
     queue_.push_back(r);
-    comps_.group_of[r] = group;
+    comps_.group_of[r] = groups;
     for (std::size_t head = 0; head < queue_.size(); ++head) {
       const std::uint32_t u = queue_[head];
       for (const NodeId* p = csr_.row_begin(u); p != csr_.row_end(u); ++p) {
         const std::uint32_t v = csr_.slot_of(*p);
         if (comps_.group_of[v] != kUnreached) continue;
-        comps_.group_of[v] = group;
+        comps_.group_of[v] = groups;
         queue_.push_back(v);
       }
     }
-    // Slots ascend with ids, so sorting slots sorts the members; the outer
-    // scan ascends too, ordering groups by smallest member.
-    std::sort(queue_.begin(), queue_.end());
-    std::vector<NodeId> members;
-    members.reserve(queue_.size());
-    for (std::uint32_t m : queue_) members.push_back(csr_.ids[m]);
-    comps_.groups.push_back(std::move(members));
+    // The group reuses the last partition's vector at its index, sized
+    // for its members before the fill below.
+    if (groups == comps_.groups.size()) comps_.groups.emplace_back();
+    comps_.groups[groups].clear();
+    comps_.groups[groups].reserve(queue_.size());
+    ++groups;
+  }
+  comps_.groups.resize(groups);
+  // Slots ascend with ids, so one ascending scan fills every group already
+  // sorted, with no per-group sort.
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (csr_.live[r]) comps_.groups[comps_.group_of[r]].push_back(csr_.ids[r]);
   }
 }
 

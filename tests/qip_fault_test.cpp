@@ -145,6 +145,36 @@ TEST_F(QipFaultFixture, AbruptCommonLeaveLeaksUntilReclaim) {
   EXPECT_FALSE(proto->state_of(a).ip_space.contains(addr));
 }
 
+TEST_F(QipFaultFixture, ConfigurationLandingAfterItsHeadDiedIsReclaimed) {
+  init();
+  const NodeId a = 0;
+  const NodeId b = build_two_head_chain();
+  // n sits beside relay 2 and B, so it asks B for an address.  B dies the
+  // instant its COM_CFG to n is on the air: n completes configuration under
+  // an allocator that is no longer a head.
+  const auto n = static_cast<NodeId>(driver->joined_count());
+  bool armed = false;
+  proto->set_trace([&](const TraceEvent& ev) {
+    if (armed || ev.msg != QipMsg::kComCfg || ev.from != b || ev.to != n)
+      return;
+    armed = true;
+    world.sim().post(0.0, [&] { driver->depart_abrupt(b); });
+  });
+  ASSERT_EQ(driver->join_at({450, 600}), n);
+  ASSERT_TRUE(armed);
+  ASSERT_EQ(proto->state_of(n).role, Role::kCommonNode);
+  ASSERT_EQ(proto->state_of(n).configurer, b);
+  EXPECT_EQ(proto->clusters().role(n), Role::kCommonNode);
+  EXPECT_FALSE(proto->clusters().head_of(n).has_value());
+
+  // A reclaims B's space; n's REC_REP claim earns it an ALLOC_CHANGE that
+  // moves it into A's cluster.
+  world.run_for(10.0);
+  ASSERT_GE(proto->reclaims_completed(), 1u);
+  EXPECT_EQ(proto->state_of(n).configurer, a);
+  EXPECT_EQ(proto->clusters().head_of(n), a);
+}
+
 TEST_F(QipFaultFixture, QuorumShrinksAfterSilence) {
   init(256);
   const NodeId b = build_two_head_chain();

@@ -3,6 +3,7 @@
 // and isolated-head recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/qip_engine.hpp"
@@ -180,6 +181,131 @@ TEST_F(PartitionFixture, PendingMergeNotMaskedByRefresh) {
   if (unified) {
     EXPECT_GE(proto->merges_handled(), 1u);
   }
+}
+
+TEST_F(PartitionFixture, HeadBeyondQdsetRadiusIsNotIsolated) {
+  qp.isolation_patience = 3;
+  init();
+
+  // A(0) - r1 - r2 - B: B is elected three hops from A and the two link.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(5.0);
+  driver->join_at({240, 500});
+  driver->join_at({380, 500});
+  const NodeId b = driver->join_at({520, 500});
+  world.run_for(3.0);
+  const NodeId r3 = driver->join_at({450, 560});  // B's member, beside r2
+  world.run_for(2.0);
+  ASSERT_TRUE(proto->clusters().is_head(b));
+  ASSERT_EQ(proto->clusters().head_of(r3), b);
+  // Stretch the line in one instant: A - r1 - r2 - r3 - B, B four hops out.
+  world.topology().move_node(r3, {520, 500});
+  world.topology().move_node(b, {660, 500});
+  ASSERT_EQ(world.topology().hop_distance(a, b), 4u);
+  ASSERT_GT(4u, qp.qdset_radius);
+  const NetworkId before = proto->state_of(a).network_id;
+  ASSERT_FALSE(proto->state_of(a).replicas.empty());
+
+  // No head inside A's QDSet ring, but B is still reachable: the isolation
+  // check must fall back to the unbounded search instead of counting
+  // patience ticks.
+  world.run_for(3.0 * qp.isolation_patience);
+  EXPECT_TRUE(proto->clusters().heads_within(a, qp.qdset_radius).empty());
+  EXPECT_EQ(proto->state_of(a).isolation_ticks, 0u);
+  EXPECT_EQ(proto->state_of(a).network_id, before);
+  EXPECT_TRUE(proto->state_of(a).replicas.count(b));
+}
+
+TEST_F(PartitionFixture, RefreshTreatsEachNonceGroupOnItsOwn) {
+  init();
+  // Pool Y: head C and its member D.
+  const NodeId c = driver->join_at({100, 900});
+  world.run_for(6.0);
+  const NodeId d = driver->join_at({240, 900});
+  world.run_for(2.0);
+  // Pool X: A - r1 - r2 - B plus B's member m.  Cutting r1 and r2 splits
+  // it, and the B side's refresh adopts a higher low.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(6.0);
+  const NodeId r1 = driver->join_at({240, 500});
+  const NodeId r2 = driver->join_at({380, 500});
+  const NodeId b = driver->join_at({520, 500});
+  world.run_for(3.0);
+  const NodeId m = driver->join_at({520, 620});
+  world.run_for(2.0);
+  driver->depart_abrupt(r1);
+  driver->depart_abrupt(r2);
+  world.run_for(3.0);
+
+  const NetworkId ida = proto->state_of(a).network_id;
+  const NetworkId idb = proto->state_of(b).network_id;
+  ASSERT_EQ(ida.nonce, idb.nonce);
+  ASSERT_NE(ida.low, idb.low);
+  ASSERT_EQ(proto->state_of(m).network_id, idb);
+  const NetworkId idd = proto->state_of(d).network_id;
+  ASSERT_NE(idd.nonce, ida.nonce);
+  ASSERT_EQ(idd.low, *proto->address_of(c));
+  const IpAddress d_ip = *proto->address_of(d);
+  ASSERT_LT(idd.low, d_ip);
+
+  // Y loses its lowest node, and radios the protocol has not heard from
+  // yet join everything into one component without making two configured
+  // nodes of different ids adjacent: merge_scan sees no boundary, and the
+  // refresh alone decides.
+  driver->depart_abrupt(c);
+  NodeId relay = 100;
+  for (const Point p : {Point{240, 500}, Point{380, 500}, Point{240, 770},
+                        Point{240, 640}}) {
+    world.topology().add_node(relay++, p);
+  }
+  ASSERT_TRUE(world.topology().reachable(a, b));
+  ASSERT_TRUE(world.topology().reachable(a, d));
+  proto->hello_tick();
+
+  // X's lows disagree (a pending heal): both sides keep theirs.
+  EXPECT_EQ(proto->state_of(a).network_id, ida);
+  EXPECT_EQ(proto->state_of(b).network_id, idb);
+  EXPECT_EQ(proto->state_of(m).network_id, idb);
+  // Y agrees on a low nobody holds any more: it adopts its lowest IP.
+  EXPECT_EQ(proto->state_of(d).network_id, (NetworkId{d_ip, idd.nonce}));
+}
+
+TEST_F(PartitionFixture, MergeSparesLosersOutsideTheDetectorsComponent) {
+  init(128);
+  // Two independent pools, each a head with one member.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(6.0);
+  const NodeId xa = driver->join_at({100, 620});
+  world.run_for(2.0);
+  const NodeId c = driver->join_at({900, 500});
+  world.run_for(6.0);
+  const NodeId yc = driver->join_at({900, 620});
+  world.run_for(2.0);
+  const NetworkId na = proto->state_of(a).network_id;
+  const NetworkId nc = proto->state_of(c).network_id;
+  ASSERT_NE(na.nonce, nc.nonce);
+  ASSERT_EQ(proto->state_of(xa).network_id, na);
+  ASSERT_EQ(proto->state_of(yc).network_id, nc);
+  const NetworkId loser = std::max(na, nc);
+  const NodeId loser_head = loser == na ? a : c;
+  const NodeId stranded = loser == na ? xa : yc;
+  const IpAddress stranded_ip = *proto->address_of(stranded);
+
+  // In one instant both members drift off alone and the heads meet: the
+  // next hello tick detects the boundary while the stranded member still
+  // carries the loser's id.
+  world.topology().move_node(xa, {100, 950});
+  world.topology().move_node(yc, {900, 950});
+  world.topology().move_node(c, {220, 500});
+  const std::uint64_t merges = proto->merges_handled();
+  proto->hello_tick();
+  ASSERT_EQ(proto->merges_handled(), merges + 1);
+  EXPECT_EQ(proto->state_of(loser_head).role, Role::kUnconfigured);
+  // The stranded member cannot hear the merge flood: it stays configured.
+  const auto& st = proto->state_of(stranded);
+  EXPECT_EQ(st.role, Role::kCommonNode);
+  EXPECT_EQ(st.ip, stranded_ip);
+  EXPECT_EQ(st.network_id.nonce, loser.nonce);
 }
 
 }  // namespace

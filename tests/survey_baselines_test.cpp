@@ -129,7 +129,9 @@ TEST_F(SurveyFixture, PdadUniqueWhenPoolLarge) {
   std::set<IpAddress> addrs;
   for (NodeId id : d.members()) {
     auto a = proto.address_of(id);
-    if (a) EXPECT_TRUE(addrs.insert(*a).second);
+    if (a) {
+      EXPECT_TRUE(addrs.insert(*a).second);
+    }
   }
 }
 
