@@ -66,7 +66,7 @@ void QipEngine::depart_common(NodeId id) {
        [this, d, id, configurer, addr](std::uint64_t h) {
          handle_return_addr(d, id, configurer, addr, h, /*ttl=*/4);
        },
-       addr.to_string());
+       addr);
   // The head acknowledges; the node leaves once the ack arrives (the harness
   // keeps it in the topology for the settle window).
   send(d, id, QipMsg::kReturnAck, Traffic::kDeparture, 0,
@@ -96,7 +96,7 @@ void QipEngine::handle_return_addr(NodeId receiver, NodeId leaver,
              handle_return_addr(owner, leaver, configurer, addr, h,
                                 ttl > 0 ? ttl - 1 : 0);
            },
-           addr.to_string());
+           addr);
     } else {
       rep.table.commit_free(addr, rep.table.get(addr).timestamp);
       // The replica may already consider the address free (e.g. a
@@ -118,7 +118,7 @@ void QipEngine::handle_return_addr(NodeId receiver, NodeId leaver,
            handle_return_addr(configurer, leaver, configurer, addr, h,
                               ttl - 1);
          },
-         addr.to_string());
+         addr);
   }
 }
 
@@ -210,7 +210,7 @@ void QipEngine::depart_head(NodeId id) {
                   });
            }
          },
-         st.owned_universe.to_string());
+         st.owned_universe);
   }
 
   // Resign from every QDSet we are a member of.

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "fault/adversary.hpp"
 #include "sim/sim_context.hpp"
@@ -155,17 +154,35 @@ const QipNodeState& QipEngine::node(NodeId id) const { return nodes_.at(id); }
 
 const QipNodeState& QipEngine::state_of(NodeId id) const { return node(id); }
 
-void QipEngine::trace(QipMsg msg, NodeId from, NodeId to, std::uint32_t hops,
-                      const std::string& detail) {
-  // Mirror every protocol message into the structured trace: name = the
-  // paper's message vocabulary, so `qip-trace summary` reports the same mix
-  // Table 1 does.
-  if (ctx().tracing_on()) {
-    ctx().recorder().instant(sim().now(), to_string(msg), "qip",
-                                           from, {{"to", to}, {"hops", hops}});
+QipEngine::MsgDetail::MsgDetail(IpAddress addr) {
+  args[0] = {"addr", addr.value()};
+}
+
+QipEngine::MsgDetail::MsgDetail(const AddressBlock& block) {
+  if (!block.empty()) {
+    args[0] = {"lo", block.lowest().value()};
+    args[1] = {"hi", block.highest().value()};
   }
-  if (!trace_) return;
-  trace_(TraceEvent{sim().now(), msg, from, to, hops, detail});
+  args[2] = {"ranges", static_cast<std::uint64_t>(block.ranges().size())};
+}
+
+QipEngine::MsgDetail::MsgDetail(Vote vote) {
+  args[0] = {"vote", vote_label(vote)};
+}
+
+QipEngine::MsgDetail::MsgDetail(const char* reason) {
+  args[0] = {"reason", reason};
+}
+
+void QipEngine::trace(QipMsg msg, NodeId from, NodeId to, std::uint32_t hops,
+                      const MsgDetail& detail) {
+  // Every protocol message is one instant named in the paper's message
+  // vocabulary, so `qip-trace summary` reports the same mix Table 1 does,
+  // and Table 1 prints its details.
+  if (!ctx().tracing_on()) return;
+  ctx().recorder().instant(sim().now(), to_string(msg), "qip", from,
+                           {{"to", to}, {"hops", hops}, detail.args[0],
+                            detail.args[1], detail.args[2]});
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +458,7 @@ void QipEngine::begin_txn(NodeId allocator, const PendingRequest& req) {
                   finish_config_failure(it->second);
                 }
               },
-              prp.to_string())) {
+              prp)) {
       finish_config_failure(t);
     }
     return;
@@ -640,7 +657,7 @@ void QipEngine::start_quorum_round(ConfigTxn& txn) {
               proposal](std::uint64_t h) {
                handle_quorum_clt(v, alloc, owner, id, round, proposal, h);
              },
-             txn.proposed_block.to_string())) {
+             txn.proposed_block)) {
       ++txn.outstanding;
     }
   }
@@ -692,7 +709,7 @@ void QipEngine::handle_quorum_clt(NodeId voter, NodeId allocator,
          [this, txn_id, round, voter](std::uint64_t h) {
            handle_vote(txn_id, round, voter, Vote::kConflict, 0, h);
          },
-         "conflict");
+         Vote::kConflict);
     return;
   }
 
@@ -755,8 +772,7 @@ void QipEngine::handle_quorum_clt(NodeId voter, NodeId allocator,
        [this, txn_id, round, voter, vote, ts](std::uint64_t h) {
          handle_vote(txn_id, round, voter, vote, ts, h);
        },
-       vote == Vote::kGrant ? "grant" : (vote == Vote::kBusy ? "busy"
-                                                             : "conflict"));
+       vote);
 }
 
 void QipEngine::handle_vote(std::uint64_t txn_id, std::uint32_t round,
@@ -943,7 +959,7 @@ void QipEngine::commit_config(ConfigTxn& txn) {
                attempts](std::uint64_t h) {
                 complete_head(requestor, alloc, block, net_id, h, attempts);
               },
-              block.to_string())) {
+              block)) {
       // Requestor unreachable at hand-over: the block stays with us.
       a.ip_space.merge(block);
       a.owned_universe.merge(block);
@@ -1007,7 +1023,7 @@ void QipEngine::commit_config(ConfigTxn& txn) {
             }
             replicate_update(owner, owner, Traffic::kConfiguration);
           },
-          addr.to_string());
+          addr);
     }
     if (!via_owner) {
       // Owner gone: push our replica snapshot to its surviving group.
@@ -1023,7 +1039,7 @@ void QipEngine::commit_config(ConfigTxn& txn) {
              attempts](std::uint64_t h) {
               complete_common(requestor, alloc, addr, net_id, h, attempts);
             },
-            addr.to_string())) {
+            addr)) {
     // Requestor vanished before configuration: free the address again.
     free_owned_address(txn.owner == txn.allocator ? txn.allocator : txn.owner,
                        addr, Traffic::kConfiguration);

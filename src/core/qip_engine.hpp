@@ -46,6 +46,7 @@
 #include "core/qip_types.hpp"
 #include "net/protocol.hpp"
 #include "net/reliable_channel.hpp"
+#include "obs/trace_recorder.hpp"
 
 namespace qip {
 
@@ -109,9 +110,6 @@ class QipEngine : public AutoconfProtocol {
   void start_hello();
   void stop_hello();
 
-  /// Installs a trace sink receiving every protocol message (Table 1).
-  void set_trace(TraceSink sink) { trace_ = std::move(sink); }
-
   /// The ack+retransmit channel quorum-critical RPCs ride under fault
   /// injection (pass-through otherwise).  Exposed so fault tests can read
   /// retransmission counts or force-disable it.
@@ -167,18 +165,36 @@ class QipEngine : public AutoconfProtocol {
     return st != nullptr && st->role == Role::kClusterHead;
   }
 
+  /// What a message adds to its `qip` trace instant beside `to` and `hops`
+  /// (docs/OBSERVABILITY.md): an address as `addr`, a block as `lo`/`hi`
+  /// plus its `ranges` count (a fragmented block never reads as one range),
+  /// a vote as `vote`, a reason as `reason`.  Integers and literals only, so
+  /// an untraced send formats nothing.  Implicit, so a call site passes the
+  /// address, block, vote or literal itself.
+  struct MsgDetail {
+    MsgDetail() = default;
+    MsgDetail(IpAddress addr);              // NOLINT(google-explicit-constructor)
+    MsgDetail(const AddressBlock& block);   // NOLINT(google-explicit-constructor)
+    MsgDetail(Vote vote);                   // NOLINT(google-explicit-constructor)
+    MsgDetail(const char* reason);          // NOLINT(google-explicit-constructor)
+    /// Unused slots stay Kind::kNone, which the recorder skips.
+    obs::Arg args[3];
+  };
+
+  /// Records `msg` as a `qip` instant (name = the paper's message
+  /// vocabulary) when tracing is on.
   void trace(QipMsg msg, NodeId from, NodeId to, std::uint32_t hops,
-             const std::string& detail = "");
+             const MsgDetail& detail = {});
 
   /// Metered unicast carrying cumulative critical-path hops; returns false
   /// when unreachable.  `fn` runs at the receiver with total path hops.
   /// Templated so the receiver closure lands directly in the transport's
   /// small-buffer Receiver — no std::function box per send.  `this` is
   /// deliberately not captured: hops_base + a typical `this`-plus-ids
-  /// handler fits ReceiverFn's 32-byte inline buffer exactly.
+  /// handler fits Transport::Receiver's 32-byte inline buffer exactly.
   template <typename F>
   bool send(NodeId from, NodeId to, QipMsg msg, Traffic traffic,
-            std::uint64_t hops_base, F&& fn, const std::string& detail = "") {
+            std::uint64_t hops_base, F&& fn, const MsgDetail& detail = {}) {
     Transport::Receiver deliver =
         [hops_base, fn = std::forward<F>(fn)](NodeId,
                                               std::uint32_t d) mutable {
@@ -349,7 +365,6 @@ class QipEngine : public AutoconfProtocol {
   std::uint64_t merges_handled_ = 0;
   EventHandle hello_timer_;
   bool hello_running_ = false;
-  TraceSink trace_;
   SwimDetector* detector_ = nullptr;
   std::set<NodeId> quarantined_;
   std::uint64_t quarantines_ = 0;

@@ -421,7 +421,7 @@ void QipEngine::start_reclamation(NodeId initiator, NodeId dead_head) {
              [this, w, receiver, dead_head, addr](std::uint64_t h) {
                handle_rec_rep(w, receiver, dead_head, addr, h);
              },
-             addr.to_string());
+             addr);
       });
   trace(QipMsg::kAddrRec, initiator, kNoNode, 0, "flood");
 }
@@ -444,7 +444,7 @@ void QipEngine::handle_rec_rep(NodeId head, NodeId claimant, NodeId dead_head,
        [this, initiator, claimant, dead_head, addr](std::uint64_t h) {
          handle_rec_rep(initiator, claimant, dead_head, addr, h);
        },
-       addr.to_string());
+       addr);
 }
 
 void QipEngine::finish_reclamation(NodeId dead_head) {

@@ -296,7 +296,7 @@ void QipEngine::isolated_head_recovery(NodeId head) {
            rec.success = true;
            rec.address = addr;
          },
-         addr.to_string());
+         addr);
   }
 }
 

@@ -3,11 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "addr/address_block.hpp"
@@ -53,18 +51,6 @@ enum class QipMsg : std::uint8_t {
 };
 
 const char* to_string(QipMsg m);
-
-/// One protocol trace event (consumed by the Table-1 bench and the tests).
-struct TraceEvent {
-  SimTime time = 0.0;
-  QipMsg msg{};
-  NodeId from = kNoNode;
-  NodeId to = kNoNode;
-  std::uint32_t hops = 0;
-  std::string detail;
-};
-
-using TraceSink = std::function<void(const TraceEvent&)>;
 
 /// A copy of another cluster head's IP state, kept by its QDSet members
 /// (§II-C: "storing a physical copy of an allocator's IP space at its

@@ -57,6 +57,10 @@ class Driver {
   /// Deterministic variant: joins a node at an explicit position (tests).
   NodeId join_at(const Point& position);
 
+  /// join_at() without running the world, for tests that step the
+  /// simulator themselves to act between two events.
+  NodeId enter_at(const Point& position) { return enter(&position); }
+
   /// Sequentially joins `n` nodes.  Returns their ids.
   std::vector<NodeId> join(std::uint32_t n);
 

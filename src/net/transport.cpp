@@ -38,33 +38,38 @@ bool Transport::can_transmit(NodeId id) const {
   return true;
 }
 
+static_assert(sizeof(Transport::Receiver) == 40,
+              "the delivery closure below is sized around a 40-byte Receiver");
+
 void Transport::schedule_delivery(NodeId to, std::uint32_t hops, SimTime extra,
                                   Receiver on_deliver) {
+  auto deliver = [this, to, hops, fn = std::move(on_deliver)]() mutable {
+    // The destination may have departed while the message was in flight; a
+    // vanished radio hears nothing.
+    if (!topology_.has_node(to)) {
+      stats_.note_dropped_in_flight();
+      if (ctx().tracing_on())
+        trace_drop(ctx().recorder(), sim_.now(), to, "in_flight_departed");
+      return;
+    }
+    // Likewise a radio that crashed after the send instant.
+    if (faults_active() && !faults_->node_up(to, sim_.now())) {
+      faults_->note_blackout();
+      if (ctx().tracing_on())
+        trace_drop(ctx().recorder(), sim_.now(), to, "in_flight_crash");
+      return;
+    }
+    if (ctx().tracing_on()) {
+      ctx().recorder().instant(sim_.now(), "deliver", "net.rx", to,
+                               {{"hops", hops}});
+    }
+    fn(to, hops);
+  };
+  // An inline receiver then costs zero allocations from send to delivery.
+  static_assert(EventFn::fits_inline<decltype(deliver)>(),
+                "the delivery closure must fit EventFn's inline buffer");
   sim_.post(static_cast<SimTime>(hops) * per_hop_delay_ + extra,
-             [this, to, hops, fn = std::move(on_deliver)]() mutable {
-               // The destination may have departed while the message was in
-               // flight; a vanished radio hears nothing.
-               if (!topology_.has_node(to)) {
-                 stats_.note_dropped_in_flight();
-                 if (ctx().tracing_on())
-                   trace_drop(ctx().recorder(), sim_.now(), to,
-                              "in_flight_departed");
-                 return;
-               }
-               // Likewise a radio that crashed after the send instant.
-               if (faults_active() && !faults_->node_up(to, sim_.now())) {
-                 faults_->note_blackout();
-                 if (ctx().tracing_on())
-                   trace_drop(ctx().recorder(), sim_.now(), to,
-                              "in_flight_crash");
-                 return;
-               }
-               if (ctx().tracing_on()) {
-                 ctx().recorder().instant(
-                     sim_.now(), "deliver", "net.rx", to, {{"hops", hops}});
-               }
-               fn(to, hops);
-             });
+            std::move(deliver));
 }
 
 void Transport::deliver_later(NodeId from, NodeId to, std::uint32_t hops,

@@ -23,9 +23,9 @@
 #include "fault/fault_injector.hpp"
 #include "net/metrics.hpp"
 #include "net/node_id.hpp"
-#include "net/receiver_fn.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 
 namespace qip {
 
@@ -40,9 +40,15 @@ namespace qip {
 class Transport {
  public:
   /// Called at the receiver; `hops` is the distance the message travelled.
-  /// A small-buffer callable (net/receiver_fn.hpp): inline captures ride the
-  /// scheduler's inline buffer too, so a delivery allocates nothing.
-  using Receiver = ReceiverFn;
+  /// A copyable small-buffer callable (sim/small_fn.hpp): every flood
+  /// recipient gets a copy.  `this` plus two or three ids covers every
+  /// receiver lambda in the engines and baselines.  Pointer alignment (not
+  /// max_align_t) keeps sizeof(Receiver) at 40, so the delivery closure
+  /// (`this` + to + hops + Receiver = 56 bytes) still fits EventFn's 64-byte
+  /// inline buffer and an inline receiver costs zero allocations from send to
+  /// delivery; over-aligned captures simply take the arena path.
+  using Receiver = SmallFn<void(NodeId, std::uint32_t), 32, alignof(void*),
+                           true>;
 
   Transport(Simulator& sim, Topology& topology, MessageStats& stats,
             SimTime per_hop_delay = 0.002);

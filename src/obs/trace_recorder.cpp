@@ -174,6 +174,7 @@ namespace {
 void fill_args(Event& e, std::initializer_list<Arg> args) {
   e.argc = 0;
   for (const Arg& a : args) {
+    if (a.kind == Arg::Kind::kNone) continue;
     if (e.argc == Event::kMaxArgs) break;
     e.args[e.argc++] = a;
   }

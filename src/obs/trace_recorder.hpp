@@ -34,13 +34,15 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qip::obs {
 
 /// One typed key/value attached to an event.  Keys and string values MUST
 /// be string literals (or otherwise outlive the recorder) — the recorder
-/// keeps the pointer.
+/// keeps the pointer.  A default-constructed Arg (Kind::kNone) is skipped,
+/// so a call site may pass optional args unconditionally.
 struct Arg {
   enum class Kind : std::uint8_t { kNone, kInt, kDouble, kStr };
 
@@ -87,6 +89,14 @@ struct Event {
   Phase phase = Phase::kInstant;
   std::uint8_t argc = 0;
   Arg args[kMaxArgs];
+
+  /// The arg named `key`, or nullptr.
+  const Arg* arg(std::string_view key) const {
+    for (std::uint8_t i = 0; i < argc; ++i) {
+      if (key == args[i].key) return &args[i];
+    }
+    return nullptr;
+  }
 };
 
 class TraceRecorder {

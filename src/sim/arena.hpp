@@ -1,9 +1,10 @@
 // Bump-chunk arena and the capture pool for in-flight event state.
 //
-// Every scheduled event whose capture exceeds the EventFn/ReceiverFn inline
-// buffer used to take one operator-new at schedule time and one delete at
-// delivery — the dominant allocation source left in the simulator's timed
-// region once the inline fast paths landed.  The capture pool removes it:
+// Every scheduled event or delivery whose capture exceeds its SmallFn's
+// inline buffer (sim/small_fn.hpp) used to take one operator-new at schedule
+// time and one delete at delivery — the dominant allocation source left in
+// the simulator's timed region once the inline fast paths landed.  The
+// capture pool removes it:
 //
 //   * BumpArena hands out raw chunks of memory bump-pointer style.  Nothing
 //     is freed individually; the arena releases everything at destruction.
@@ -15,7 +16,7 @@
 //
 // The pool is thread_local: the parallel harness runs one SimContext per
 // worker thread, so thread locality *is* per-SimContext locality, without
-// threading an arena pointer through every EventFn constructor.  Blocks
+// threading an arena pointer through every SmallFn constructor.  Blocks
 // over 4KB (none in practice — captures are a few pointers) fall back to
 // operator new.
 #pragma once

@@ -15,17 +15,24 @@
 // buried — and the key is dropped lazily when it surfaces at the minimum.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "sim/event_fn.hpp"
+#include "sim/small_fn.hpp"
 #include "util/assert.hpp"
 
 namespace qip {
 
 /// Simulation clock, in seconds.
 using SimTime = double;
+
+/// The scheduler's move-only event callable (sim/small_fn.hpp).  Its 64-byte
+/// inline budget holds every timer lambda in the protocol engines (`this`
+/// plus a couple of ids), a std::function for callers that still build one,
+/// and Transport's delivery closure (net/transport.cpp checks that).
+using EventFn = SmallFn<void(), 64, alignof(std::max_align_t), false>;
 
 namespace detail {
 struct EventQueueCore;

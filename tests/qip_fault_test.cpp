@@ -3,17 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/world.hpp"
+#include "sim/sim_context.hpp"
 
 namespace qip {
 namespace {
 
 struct QipFaultFixture : ::testing::Test {
+  SimContext ctx;
   WorldParams wp{};
-  World world{wp, /*seed=*/91};
+  World world{wp, /*seed=*/91, ctx};
   QipParams qp{};
   std::unique_ptr<QipEngine> proto;
   std::unique_ptr<Driver> driver;
@@ -149,19 +152,32 @@ TEST_F(QipFaultFixture, ConfigurationLandingAfterItsHeadDiedIsReclaimed) {
   init();
   const NodeId a = 0;
   const NodeId b = build_two_head_chain();
-  // n sits beside relay 2 and B, so it asks B for an address.  B dies the
-  // instant its COM_CFG to n is on the air: n completes configuration under
-  // an allocator that is no longer a head.
+  // n sits beside relay 2 and B, so it asks B for an address.  B dies right
+  // after the event that put its COM_CFG to n on the air: n completes
+  // configuration under an allocator that is no longer a head.  The world
+  // is stepped by hand through n's arrival interval, and each step's `qip`
+  // instants are read off the recorder.
   const auto n = static_cast<NodeId>(driver->joined_count());
+  const SimTime arrived = world.sim().now() + 1.0;  // init's arrival_interval
+  ASSERT_EQ(driver->enter_at({450, 600}), n);
+  const auto com_cfg_from_b_to_n = [&](const obs::Event& ev) {
+    const obs::Arg* to = ev.arg("to");
+    return ev.phase == obs::Phase::kInstant && ev.tid == b &&
+           std::string_view(ev.name) == to_string(QipMsg::kComCfg) &&
+           to != nullptr && to->i == n;
+  };
+  obs::TraceRecorder& rec = ctx.recorder();
+  rec.set_capacity(1u << 10);  // cleared after every step
+  rec.enable();
   bool armed = false;
-  proto->set_trace([&](const TraceEvent& ev) {
-    if (armed || ev.msg != QipMsg::kComCfg || ev.from != b || ev.to != n)
-      return;
-    armed = true;
-    world.sim().post(0.0, [&] { driver->depart_abrupt(b); });
-  });
-  ASSERT_EQ(driver->join_at({450, 600}), n);
+  while (!armed && world.sim().now() < arrived && world.sim().step()) {
+    for (const obs::Event& ev : rec.events()) armed |= com_cfg_from_b_to_n(ev);
+    rec.clear();
+  }
+  rec.disable();
   ASSERT_TRUE(armed);
+  driver->depart_abrupt(b);
+  world.sim().run(arrived);
   ASSERT_EQ(proto->state_of(n).role, Role::kCommonNode);
   ASSERT_EQ(proto->state_of(n).configurer, b);
   EXPECT_EQ(proto->clusters().role(n), Role::kCommonNode);

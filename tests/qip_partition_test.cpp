@@ -308,5 +308,38 @@ TEST_F(PartitionFixture, MergeSparesLosersOutsideTheDetectorsComponent) {
   EXPECT_EQ(st.network_id.nonce, loser.nonce);
 }
 
+TEST_F(PartitionFixture, RefreshAdoptsALowIpHeldPastTheLowestId) {
+  init();
+  // A(0) - r1 - r2 - B(3): r1 and r2 are A's members, B heads a higher
+  // block.  r1 returns 10.0.0.1 and n, entering at r1's spot, gets it back.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(5.0);
+  const NodeId r1 = driver->join_at({240, 500});
+  const NodeId r2 = driver->join_at({380, 500});
+  const NodeId b = driver->join_at({520, 500});
+  world.run_for(3.0);
+  ASSERT_EQ(proto->state_of(b).role, Role::kClusterHead);
+  const IpAddress low = *proto->address_of(r1);
+  driver->depart_graceful(r1);
+  world.run_for(2.0);
+  const NodeId n = driver->join_at({240, 500});
+  world.run_for(2.0);
+  ASSERT_EQ(proto->address_of(n), low);
+  ASSERT_LT(low, *proto->address_of(r2));
+  ASSERT_LT(low, *proto->address_of(b));
+
+  // The 10.0.0.0 head leaves: the lowest-id member left (r2) does not hold
+  // the component's lowest IP, which n, the highest id, holds.
+  ASSERT_EQ(proto->address_of(a), kPoolBase);
+  driver->depart_abrupt(a);
+  world.run_for(2.0);
+  const std::vector<NodeId> component = world.topology().component_of(n);
+  ASSERT_EQ(component.front(), r2);
+  for (NodeId id : component) {
+    ASSERT_TRUE(proto->configured(id)) << "node " << id;
+    EXPECT_EQ(proto->state_of(id).network_id.low, low) << "node " << id;
+  }
+}
+
 }  // namespace
 }  // namespace qip

@@ -1,19 +1,24 @@
 // Unit tests for the discrete-event core: ordering, cancellation, clock,
-// handle lifetime edges, and a differential against a reference binary heap.
+// handle lifetime edges, a differential against a reference binary heap, and
+// the small-buffer callables events and deliveries ride in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <queue>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -437,6 +442,200 @@ TEST_P(SimOrderingProperty, MatchesReferenceOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimOrderingProperty,
                          ::testing::Values(11, 22, 33, 44, 55));
+
+// ---------------------------------------------------------------------------
+// SmallFn: EventFn (move-only, 64 bytes) and a copyable flavour with
+// Transport::Receiver's parameters (32 bytes, pointer-aligned).
+// ---------------------------------------------------------------------------
+
+using CopyFn = SmallFn<void(int), 32, alignof(void*), true>;
+
+static_assert(!std::is_copy_constructible_v<EventFn>);
+static_assert(std::is_nothrow_move_constructible_v<EventFn>);
+static_assert(std::is_copy_constructible_v<CopyFn>);
+
+/// A capture that counts its calls and the destructor calls of the objects
+/// that own it (a moved-from shell owns nothing), padded to pick the inline
+/// or the arena path.
+template <std::size_t Pad>
+struct Tracked {
+  int* calls;
+  int* dtors;
+  bool owner = true;
+  std::array<unsigned char, Pad> pad{};
+
+  Tracked(int* c, int* d) : calls(c), dtors(d) {}
+  Tracked(const Tracked& o) : calls(o.calls), dtors(o.dtors), owner(o.owner) {}
+  Tracked(Tracked&& o) noexcept
+      : calls(o.calls), dtors(o.dtors), owner(o.owner) {
+    o.owner = false;
+  }
+  ~Tracked() {
+    if (owner) ++*dtors;
+  }
+  void operator()() { ++*calls; }
+  void operator()(int) { ++*calls; }
+};
+
+using SmallTracked = Tracked<8>;   // inline in both flavours
+using LargeTracked = Tracked<96>;  // arena in both flavours
+
+static_assert(EventFn::fits_inline<SmallTracked>());
+static_assert(CopyFn::fits_inline<SmallTracked>());
+static_assert(!EventFn::fits_inline<LargeTracked>());
+static_assert(!CopyFn::fits_inline<LargeTracked>());
+
+struct MoveOnlyCall {
+  std::unique_ptr<int> p;
+  void operator()() {}
+  void operator()(int) {}
+};
+
+static_assert(std::is_constructible_v<EventFn, MoveOnlyCall>);
+static_assert(!std::is_constructible_v<CopyFn, MoveOnlyCall>);
+
+/// Arena blocks handed out so far on this thread (fresh or recycled).
+std::uint64_t arena_blocks() {
+  const CaptureArena& arena = CaptureArena::instance();
+  return arena.fresh() + arena.reused();
+}
+
+TEST(SmallFn, InlineCapturesTakeNoArenaBlock) {
+  const std::uint64_t before = arena_blocks();
+  int hits = 0;
+  int calls = 0;
+  int dtors = 0;
+  {
+    EventFn trivial = [&hits] { ++hits; };
+    EventFn tracked = SmallTracked(&calls, &dtors);
+    CopyFn small_copyable = [&hits](int add) { hits += add; };
+    trivial();
+    tracked();
+    small_copyable(10);
+  }
+  EXPECT_EQ(hits, 11);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(dtors, 1);
+  EXPECT_EQ(arena_blocks(), before);
+}
+
+TEST(SmallFn, ArenaCapturesTakeOneBlockEach) {
+  const std::uint64_t before = arena_blocks();
+  std::array<int, 32> big{};  // 128 bytes, trivially copyable
+  big[31] = 5;
+  int out = 0;
+  int calls = 0;
+  int dtors = 0;
+  {
+    EventFn trivial = [big, &out] { out += big[31]; };
+    EventFn tracked = LargeTracked(&calls, &dtors);
+    EXPECT_EQ(arena_blocks(), before + 2);
+    EventFn moved = std::move(trivial);  // only the pointer moves
+    EXPECT_FALSE(static_cast<bool>(trivial));
+    moved();
+    tracked();
+    EXPECT_EQ(arena_blocks(), before + 2);
+  }
+  EXPECT_EQ(out, 5);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(dtors, 1);
+}
+
+TEST(SmallFn, CopyingAnArenaCaptureTakesItsOwnBlock) {
+  int calls = 0;
+  int dtors = 0;
+  {
+    CopyFn original = LargeTracked(&calls, &dtors);
+    const std::uint64_t before = arena_blocks();
+    CopyFn copy = original;
+    EXPECT_EQ(arena_blocks(), before + 1);
+    CopyFn assigned;
+    assigned = copy;
+    EXPECT_EQ(arena_blocks(), before + 2);
+    original(1);
+    copy(2);
+    assigned(3);
+    original.reset();
+    EXPECT_EQ(dtors, 1);
+    copy(4);  // the copies do not share the original's block
+  }
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(dtors, 3);
+}
+
+TEST(SmallFn, EventFnAcceptsMoveOnlyCaptures) {
+  int out = 0;
+  EventFn fn = [p = std::make_unique<int>(7), &out] { out = *p; };
+  EventFn moved = std::move(fn);
+  moved();
+  EXPECT_EQ(out, 7);
+}
+
+/// Moves, copies, reset() and cancellation destroy every capture exactly
+/// once, inline or in the arena.
+template <typename Capture>
+void expect_each_capture_destroyed_once() {
+  int calls = 0;
+  int dtors = 0;
+
+  {  // move construction and move assignment
+    EventFn a = Capture(&calls, &dtors);
+    EventFn b = std::move(a);
+    EventFn c;
+    c = std::move(b);
+    EXPECT_EQ(dtors, 0);
+    c.reset();
+    EXPECT_EQ(dtors, 1);
+    c.reset();
+  }
+  EXPECT_EQ(dtors, 1);
+
+  dtors = 0;
+  {  // assignment over a live capture destroys the old one first
+    EventFn a = Capture(&calls, &dtors);
+    EventFn b = Capture(&calls, &dtors);
+    a = std::move(b);
+    EXPECT_EQ(dtors, 1);
+  }
+  EXPECT_EQ(dtors, 2);
+
+  dtors = 0;
+  {  // copies are captures of their own
+    CopyFn a = Capture(&calls, &dtors);
+    CopyFn b = a;
+    CopyFn c = b;
+    CopyFn d = std::move(c);
+    EXPECT_EQ(dtors, 0);
+    b = d;  // copy-assignment destroys b's capture
+    EXPECT_EQ(dtors, 1);
+  }
+  EXPECT_EQ(dtors, 4);
+
+  dtors = 0;
+  calls = 0;
+  {  // cancellation destroys the capture at once, and it never runs
+    Simulator sim;
+    EventHandle h = sim.after(1.0, Capture(&calls, &dtors));
+    sim.post(2.0, Capture(&calls, &dtors));
+    h.cancel();
+    EXPECT_EQ(dtors, 1);
+    sim.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(dtors, 2);
+  }
+  EXPECT_EQ(dtors, 2);
+}
+
+TEST(SmallFn, EachCaptureIsDestroyedExactlyOnce) {
+  {
+    SCOPED_TRACE("inline");
+    expect_each_capture_destroyed_once<SmallTracked>();
+  }
+  {
+    SCOPED_TRACE("arena");
+    expect_each_capture_destroyed_once<LargeTracked>();
+  }
+}
 
 }  // namespace
 }  // namespace qip

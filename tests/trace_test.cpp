@@ -2,47 +2,66 @@
 // must follow the exchanges of §IV (Table 1 and Figures 2–3).
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string_view>
 #include <vector>
 
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/world.hpp"
+#include "sim/sim_context.hpp"
 
 namespace qip {
 namespace {
 
 struct TraceFixture : ::testing::Test {
+  SimContext ctx;
   WorldParams wp{};
-  World world{wp, /*seed=*/808};
+  World world{wp, /*seed=*/808, ctx};
   QipParams qp{};
   std::unique_ptr<QipEngine> proto;
   std::unique_ptr<Driver> driver;
-  std::vector<TraceEvent> events;
 
   void init() {
     qp.pool_size = 256;
     proto = std::make_unique<QipEngine>(world.transport(), world.rng(), qp);
     proto->start_hello();
-    proto->set_trace([this](const TraceEvent& ev) { events.push_back(ev); });
+    ctx.recorder().set_capacity(1u << 14);  // each test records far fewer
+    ctx.recorder().enable();
     DriverOptions dopt;
     dopt.mobility = false;
     dopt.arrival_interval = 1.0;
     driver = std::make_unique<Driver>(world, *proto, dopt);
   }
 
-  std::vector<const TraceEvent*> of_kind(QipMsg m) const {
-    std::vector<const TraceEvent*> out;
-    for (const auto& ev : events) {
-      if (ev.msg == m) out.push_back(&ev);
+  /// Every protocol message recorded so far: the `qip` instants (the
+  /// config_txn and quorum_round spans share the category).
+  std::vector<obs::Event> messages() const {
+    EXPECT_EQ(ctx.recorder().overwritten(), 0u) << "the ring wrapped";
+    std::vector<obs::Event> out;
+    for (const obs::Event& e : ctx.recorder().events()) {
+      if (e.phase == obs::Phase::kInstant && std::string_view(e.cat) == "qip")
+        out.push_back(e);
     }
     return out;
   }
 
-  /// Index of the first event of kind m, or npos.
+  static bool is(const obs::Event& e, QipMsg m) {
+    return std::string_view(e.name) == to_string(m);
+  }
+
+  std::vector<obs::Event> of_kind(QipMsg m) const {
+    std::vector<obs::Event> out;
+    for (const obs::Event& e : messages()) {
+      if (is(e, m)) out.push_back(e);
+    }
+    return out;
+  }
+
+  /// Index of the first message of kind m, or npos.
   std::size_t first_of(QipMsg m) const {
+    const std::vector<obs::Event> events = messages();
     for (std::size_t i = 0; i < events.size(); ++i) {
-      if (events[i].msg == m) return i;
+      if (is(events[i], m)) return i;
     }
     return static_cast<std::size_t>(-1);
   }
@@ -52,7 +71,7 @@ TEST_F(TraceFixture, CommonNodeExchangeOrder) {
   init();
   driver->join_at({500, 500});
   world.run_for(5.0);
-  events.clear();
+  ctx.recorder().clear();
   const NodeId b = driver->join_at({600, 500});
   world.run_for(2.0);
   ASSERT_TRUE(proto->configured(b));
@@ -76,7 +95,7 @@ TEST_F(TraceFixture, QuorumReadPrecedesWrite) {
   driver->join_at({380, 500});
   driver->join_at({520, 500});
   world.run_for(3.0);
-  events.clear();
+  ctx.recorder().clear();
   const NodeId c = driver->join_at({560, 560});
   world.run_for(3.0);
   ASSERT_TRUE(proto->configured(c));
@@ -88,11 +107,13 @@ TEST_F(TraceFixture, QuorumReadPrecedesWrite) {
   ASSERT_NE(upd, static_cast<std::size_t>(-1));
   EXPECT_LT(clt, cfm) << "votes cannot arrive before they are solicited";
   EXPECT_LT(cfm, upd) << "the write round must follow the read quorum";
-  // Every CFM is a grant/busy/conflict — the detail field says which.
-  for (const TraceEvent* ev : of_kind(QipMsg::kQuorumCfm)) {
-    EXPECT_TRUE(ev->detail == "grant" || ev->detail == "busy" ||
-                ev->detail == "conflict")
-        << ev->detail;
+  // Every CFM is a grant/busy/conflict — the vote arg says which.
+  for (const obs::Event& ev : of_kind(QipMsg::kQuorumCfm)) {
+    const obs::Arg* arg = ev.arg("vote");
+    ASSERT_NE(arg, nullptr);
+    const std::string_view vote = arg->s;
+    EXPECT_TRUE(vote == "grant" || vote == "busy" || vote == "conflict")
+        << vote;
   }
 }
 
@@ -102,7 +123,7 @@ TEST_F(TraceFixture, Table1HandshakeComplete) {
   world.run_for(5.0);
   driver->join_at({240, 500});
   driver->join_at({380, 500});
-  events.clear();
+  ctx.recorder().clear();
   const NodeId b = driver->join_at({520, 500});
   world.run_for(3.0);
   ASSERT_EQ(proto->state_of(b).role, Role::kClusterHead);
@@ -121,8 +142,9 @@ TEST_F(TraceFixture, TimesAreNonDecreasing) {
   init();
   driver->join(10);
   world.run_for(5.0);
+  const std::vector<obs::Event> events = messages();
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].time, events[i].time);
+    EXPECT_LE(events[i - 1].ts, events[i].ts);
   }
   EXPECT_GT(events.size(), 10u);
 }
@@ -133,7 +155,7 @@ TEST_F(TraceFixture, DepartureEmitsReturnAddr) {
   world.run_for(5.0);
   const NodeId b = driver->join_at({600, 500});
   world.run_for(2.0);
-  events.clear();
+  ctx.recorder().clear();
   driver->depart_graceful(b);
   world.run_for(1.0);
   EXPECT_FALSE(of_kind(QipMsg::kReturnAddr).empty());

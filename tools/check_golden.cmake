@@ -20,7 +20,10 @@ endif()
 
 file(READ "${GOLDEN}" expected)
 if(NOT actual STREQUAL expected)
-  set(dump "${CMAKE_CURRENT_BINARY_DIR}/golden_actual.txt")
+  # Named after the bench, so golden tests failing together under ctest -j
+  # do not overwrite each other's dump.
+  get_filename_component(bench_name "${BENCH}" NAME_WE)
+  set(dump "${CMAKE_CURRENT_BINARY_DIR}/golden_actual_${bench_name}.txt")
   file(WRITE "${dump}" "${actual}")
   message(FATAL_ERROR
       "output of ${BENCH} differs from golden file ${GOLDEN}\n"
