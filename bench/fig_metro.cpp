@@ -318,11 +318,9 @@ int main(int argc, char** argv) {
   std::printf("fig_metro: city day, n=%u, side=%.0f m, range=%.0f m\n\n%s\n",
               n, side, kRange, t.render().c_str());
   std::printf(
-      "topology: %llu incremental patches, %llu full rebuilds, "
-      "%llu component repairs\n",
+      "topology: %llu incremental patches, %llu full rebuilds\n",
       static_cast<unsigned long long>(topo.csr_incremental_patches()),
-      static_cast<unsigned long long>(topo.csr_full_rebuilds()),
-      static_cast<unsigned long long>(topo.component_repairs()));
+      static_cast<unsigned long long>(topo.csr_full_rebuilds()));
   std::printf(
       "capture arena: %llu blocks reused, %llu fresh, %zu bytes carved\n",
       static_cast<unsigned long long>(arena.reused()),
@@ -356,8 +354,7 @@ int main(int argc, char** argv) {
         .set("topo",
              JsonValue::object()
                  .set("incremental_patches", topo.csr_incremental_patches())
-                 .set("full_rebuilds", topo.csr_full_rebuilds())
-                 .set("component_repairs", topo.component_repairs()))
+                 .set("full_rebuilds", topo.csr_full_rebuilds()))
         .set("arena",
              JsonValue::object()
                  .set("blocks_reused", arena.reused())

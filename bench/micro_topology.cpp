@@ -140,6 +140,8 @@ BENCHMARK(BM_KHopNeighbors)->Arg(2)->Arg(3);
 // ---------------------------------------------------------------------------
 
 static void BM_ComponentsChurn(benchmark::State& state) {
+  // The partition after one move: a CSR patch of the rows near the mover,
+  // then a components rebuild over the whole snapshot.
   Rng rng(7);
   const auto n = static_cast<std::uint32_t>(state.range(0));
   Topology topo = make_topology(n, 120.0, rng);

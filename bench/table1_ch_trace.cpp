@@ -60,11 +60,8 @@ int main(int argc, char** argv) {
   (void)benchmain::jobs_from_args(argc, argv);
   // The run records into its own context, traced whatever the environment
   // says; it is absorbed into the process context at the end, so
-  // QIP_TRACE_FILE still receives it.  The run records ~2,200 events: a
-  // 2^14-event ring (3 MiB) holds them all, where the default 2^18 would
-  // allocate 50 MiB.
+  // QIP_TRACE_FILE still receives it.
   SimContext ctx;
-  ctx.recorder().set_capacity(1u << 14);
   ctx.recorder().enable();
   WorldParams wp;
   wp.transmission_range = 200.0;

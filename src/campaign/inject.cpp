@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace qip {
@@ -75,6 +76,10 @@ bool InjectPlan::parse(const std::string& text, InjectPlan* out,
         !parse_dec(rest.substr(at + 1), &attempt)) {
       return fail(err, "injection term '" + term +
                   "' wants decimal <cell>@<attempt>");
+    }
+    if (attempt > std::numeric_limits<std::uint32_t>::max()) {
+      return fail(err, "injection term '" + term + "' names an attempt past " +
+                  std::to_string(std::numeric_limits<std::uint32_t>::max()));
     }
     InjectPoint p;
     p.kind = kind == "crash" ? InjectKind::kCrash : InjectKind::kHang;

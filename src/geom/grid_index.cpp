@@ -19,7 +19,7 @@ void GridIndex::insert(std::uint32_t id, const Point& p) {
   const CellKey key = key_for(p);
   cells_[key].push_back({id, p});
   where_.emplace(id, Entry{p, key});
-  touch(key);
+  ++epoch_;
 }
 
 void GridIndex::remove(std::uint32_t id) {
@@ -30,8 +30,8 @@ void GridIndex::remove(std::uint32_t id) {
   auto& bucket = cell_it->second;
   bucket.erase(slot_for(bucket, id));
   if (bucket.empty()) cells_.erase(cell_it);
-  touch(it->second.cell);
   where_.erase(it);
+  ++epoch_;
 }
 
 void GridIndex::move(std::uint32_t id, const Point& p) {
@@ -45,51 +45,16 @@ void GridIndex::move(std::uint32_t id, const Point& p) {
     old_bucket.erase(slot_for(old_bucket, id));
     if (old_bucket.empty()) cells_.erase(it->second.cell);
     cells_[new_key].push_back({id, p});
-    touch(it->second.cell);
     it->second.cell = new_key;
   }
-  // A same-cell move still changes the position, so the cell is stale either
-  // way; touching it last stamps both cells with distinct epochs on a
-  // cross-cell move.
-  touch(new_key);
   it->second.pos = p;
+  ++epoch_;  // a same-cell move still changes the position
 }
 
 const Point& GridIndex::position(std::uint32_t id) const {
   auto it = where_.find(id);
   QIP_ASSERT_MSG(it != where_.end(), "id " << id << " not indexed");
   return it->second.pos;
-}
-
-void GridIndex::touch(const CellKey& key) {
-  ++epoch_;
-  cell_version_[key] = epoch_;
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      window_version_[{key.cx + dx, key.cy + dy}] = epoch_;
-    }
-  }
-}
-
-std::uint64_t GridIndex::window_version(const Point& center,
-                                        double radius) const {
-  QIP_ASSERT(radius > 0.0);
-  if (radius <= cell_) {
-    // A disk of radius <= cell centered anywhere in a cell stays inside the
-    // cell's 3×3 neighborhood, whose version is maintained on write.
-    const auto it = window_version_.find(key_for(center));
-    return it == window_version_.end() ? 0 : it->second;
-  }
-  std::uint64_t version = 0;
-  const auto span = static_cast<std::int64_t>(std::ceil(radius / cell_));
-  const CellKey base = key_for(center);
-  for (std::int64_t dx = -span; dx <= span; ++dx) {
-    for (std::int64_t dy = -span; dy <= span; ++dy) {
-      auto it = cell_version_.find({base.cx + dx, base.cy + dy});
-      if (it != cell_version_.end()) version = std::max(version, it->second);
-    }
-  }
-  return version;
 }
 
 std::vector<std::uint32_t> GridIndex::query(const Point& center, double radius,

@@ -3,7 +3,9 @@
 // Neighbor discovery ("all nodes within transmission range r of p") is the
 // hottest geometric query in the simulator: it runs after every movement
 // step.  The grid cell size equals the query radius so a query inspects at
-// most the 3×3 cell neighborhood.
+// most the 3×3 cell neighborhood.  The index keeps positions only; the
+// topology cache derives adjacency from it, keyed off the one mutation
+// epoch below.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +37,6 @@ class GridIndex {
   /// Starts at 0; the first mutation makes it 1.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Greatest epoch at which any cell overlapping the disk (`center`,
-  /// `radius`) was mutated (0 if none ever was).  A cached neighborhood of
-  /// that disk computed at epoch E is still exact iff the returned value is
-  /// <= E: mutations elsewhere in the grid cannot affect it.
-  std::uint64_t window_version(const Point& center, double radius) const;
-
   /// All ids within `radius` of `center` (excluding `exclude` if given).
   /// Distance is inclusive — d <= radius counts, so two nodes exactly a
   /// transmission range apart are connected, matching the unit-disk model.
@@ -48,7 +44,7 @@ class GridIndex {
                                    std::int64_t exclude = -1) const;
 
   /// Same query into a caller-owned buffer (cleared first), so repeated
-  /// callers — the topology cache refreshing adjacency rows — reuse one
+  /// callers — the topology cache computing snapshot rows — reuse one
   /// allocation.
   void query_into(const Point& center, double radius, std::int64_t exclude,
                   std::vector<std::uint32_t>& out) const;
@@ -90,22 +86,10 @@ class GridIndex {
             static_cast<std::int64_t>(std::floor(p.y / cell_))};
   }
 
-  /// Stamps `key` (and the global counter) with a fresh mutation epoch.
-  void touch(const CellKey& key);
-
   double cell_;
   std::unordered_map<CellKey, std::vector<Slot>, CellKeyHash> cells_;
   std::unordered_map<std::uint32_t, Entry> where_;
   std::uint64_t epoch_ = 0;
-  /// Last mutation epoch per cell.  Entries persist after a cell empties —
-  /// an emptying *is* a mutation a cached reader must observe — so the map
-  /// is bounded by the number of cells ever occupied, not currently
-  /// occupied.
-  std::unordered_map<CellKey, std::uint64_t, CellKeyHash> cell_version_;
-  /// Last mutation epoch within each cell's 3×3 neighborhood, maintained on
-  /// write (9 stamps per mutation) so the common radius<=cell validity
-  /// probe is a single lookup instead of a 9-cell scan per cached row.
-  std::unordered_map<CellKey, std::uint64_t, CellKeyHash> window_version_;
 };
 
 }  // namespace qip

@@ -38,11 +38,15 @@ std::vector<NodeId> Topology::all_nodes() const {
 }
 
 std::vector<NodeId> Topology::neighbors(NodeId id) const {
-  return cache_.neighbors(index_, id);
+  const auto row = neighbors_view(id);
+  return {row.begin(), row.end()};
 }
 
-const std::vector<NodeId>& Topology::neighbors_view(NodeId id) const {
-  return cache_.neighbors(index_, id);
+std::span<const NodeId> Topology::neighbors_view(NodeId id) const {
+  const auto& graph = cache_.csr(index_);
+  const std::uint32_t slot = graph.slot_of(id);
+  QIP_ASSERT_MSG(slot != TopologyCache::kUnreached, "node " << id << " absent");
+  return {graph.row_begin(slot), graph.row_end(slot)};
 }
 
 bool Topology::covered(const Point& p) const {

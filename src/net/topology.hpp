@@ -8,16 +8,18 @@
 // is O(1) expected.
 //
 // Graph queries are memoized in an epoch-versioned TopologyCache: mutations
-// bump the grid's epoch, derived state (adjacency rows, a flat CSR
-// snapshot, components, k-hop sets) is rebuilt lazily, and a move only
-// re-queries adjacency near the cells the mover left or entered.
-// tests/net_test.cpp checks every query against an O(n^2) oracle — down to
-// BFS discovery order and the emplace order of the hop-distance map
+// bump the grid's epoch and are journaled, and the next query brings the
+// flat CSR snapshot up to date, patching only the rows near a journaled
+// position.  Every query reads that snapshot — one-hop rows are its spans —
+// and the components partition and k-hop sets are computed from it once per
+// epoch.  tests/net_test.cpp checks every query against an O(n^2) oracle —
+// down to BFS discovery order and the emplace order of the hop-distance map
 // (docs/SIMULATOR.md, "Topology cache").
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -49,18 +51,16 @@ class Topology {
   std::uint64_t epoch() const { return index_.epoch(); }
 
   /// Maintenance counters for the differential tests and fig_metro phase
-  /// reports: how often the snapshot was patched vs rebuilt, and how often
-  /// a components repair ran vs bailed to a rebuild.
+  /// reports: how often the snapshot was patched vs rebuilt.
   std::uint64_t csr_full_rebuilds() const { return cache_.full_rebuilds(); }
   std::uint64_t csr_incremental_patches() const {
     return cache_.incremental_patches();
   }
-  std::uint64_t component_repairs() const {
-    return cache_.component_repairs();
-  }
-  std::uint64_t component_repair_bailouts() const {
-    return cache_.repair_bailouts();
-  }
+  /// Always 0: the components partition is rebuilt, never repaired.  Kept
+  /// only because benchmark/src/workloads.cpp still reports both counters;
+  /// they go when that report drops them.
+  std::uint64_t component_repairs() const { return 0; }
+  std::uint64_t component_repair_bailouts() const { return 0; }
 
   /// Binds the cache's rebuild ProfileScopes to `ctx` (null: the process
   /// context).  Called by World; behavior-invariant either way.
@@ -69,10 +69,11 @@ class Topology {
   /// One-hop neighbors of `id` (distance <= range, excluding `id`), sorted.
   std::vector<NodeId> neighbors(NodeId id) const;
 
-  /// Same, without the copy.  The reference (like every *_view below) is
-  /// valid until the next topology mutation; protocol handlers never mutate
-  /// the topology, so holding one across a send is fine.
-  const std::vector<NodeId>& neighbors_view(NodeId id) const;
+  /// Same, without the copy: the node's row in the CSR snapshot.  The span
+  /// (like every *_view below) is valid until the next topology mutation;
+  /// protocol handlers never mutate the topology, so holding one across a
+  /// send is fine.
+  std::span<const NodeId> neighbors_view(NodeId id) const;
 
   /// True iff at least one node lies within transmission range of `p`.
   bool covered(const Point& p) const;

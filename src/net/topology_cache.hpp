@@ -1,23 +1,20 @@
 // Epoch-versioned memoization layer for Topology's graph queries, with an
 // O(changed-edges) incremental maintenance path.
 //
-// Every mutation of the underlying GridIndex bumps a monotone epoch and
-// stamps the touched grid cells (GridIndex::epoch / window_version).  The
-// cache keys three tiers of derived state off those stamps:
+// Every mutation of the underlying GridIndex bumps a monotone epoch
+// (GridIndex::epoch).  The cache keys its derived state off that epoch:
 //
-//   * per-node sorted adjacency rows — revalidated individually against the
-//     3×3 cell window around the node, so one move only invalidates rows
-//     whose window overlaps the cells the mover left or entered;
 //   * one flat CSR-style snapshot of the whole graph (slot-dense ids, row
-//     spans into a neighbor pool) — BFS then runs on plain arrays with zero
-//     hashing;
-//   * the components partition and bounded k-hop result sets.
+//     spans into a neighbor pool) — the only store of adjacency.  A row
+//     query reads its span and BFS runs on plain arrays with zero hashing;
+//   * the components partition and bounded k-hop result sets, each memoized
+//     for one epoch and computed from the snapshot.
 //
-// Through PR 9 the CSR snapshot and the components partition were rebuilt
-// from scratch on first use after *any* mutation: one node moving one meter
-// invalidated the whole O(n+E) structure.  At the paper's n≈400 that was
-// fine; at metropolis scale (n≥100k, docs/SCALE.md) a per-event rebuild
-// dominates everything.  The incremental path fixes this:
+// Rebuilding the snapshot from scratch on first use after *any* mutation
+// would let one node moving one meter invalidate the whole O(n+E)
+// structure.  At the paper's n≈400 that is fine; at metropolis scale
+// (n≥100k, docs/SCALE.md) a per-event rebuild dominates everything.  The
+// incremental path avoids it:
 //
 //   * Topology journals every add/remove/move into the cache (a dirty-edge
 //     journal: the id plus the position where it appeared);
@@ -26,12 +23,13 @@
 //     (grid queries around the recorded positions plus the event nodes'
 //     pre-patch rows are a provable superset of the changed rows), and a
 //     rewritten row lands in place when it fits its span's capacity, else
-//     at the pool tail;
-//   * the memoized components partition is *repaired* from the edge diffs
-//     the patch collected: insertions union groups, deletions run a
-//     bounded local search (budgeted early-exit BFS) to decide
-//     connected/split, falling back to a full rebuild when any budget is
-//     exhausted — correctness never depends on the repair succeeding.
+//     at the pool tail.
+//
+// The components partition is rebuilt from the snapshot whenever it is
+// stale: one labelling pass over the slots, O(n+E).  It is never repaired
+// from the patch's edge diffs: every drift tick moves every node, and such
+// a repair (union on edge add, budgeted searches on edge cut) bailed out,
+// or cost more than the rebuilds it saved, on every city workload.
 //
 // Discovery-order invariant (load-bearing — the golden/trace/jobs/quorum
 // gates byte-compare bench output): rows store neighbor *ids* ascending and
@@ -124,7 +122,7 @@ class TopologyCache {
   struct Components {
     /// Each group sorted ascending; groups ordered by smallest member.
     std::vector<std::vector<NodeId>> groups;
-    /// slot -> index into `groups` (stale for tombstoned slots).
+    /// slot -> index into `groups` (kUnreached for tombstoned slots).
     std::vector<std::uint32_t> group_of;
   };
 
@@ -133,22 +131,19 @@ class TopologyCache {
   void note_remove(NodeId id);
   void note_move(NodeId id, const Point& new_pos);
 
-  /// Sorted one-hop neighbors of `id` (excluding `id`).  The reference stays
-  /// valid until the row is recomputed, which only happens after an index
-  /// mutation near the node.
-  const std::vector<NodeId>& neighbors(const GridIndex& index, NodeId id);
-
   /// The CSR snapshot for the index's current epoch: patched from the
   /// journal when possible, rebuilt from scratch otherwise.
   const Csr& csr(const GridIndex& index);
 
-  /// The components partition for the current epoch (repaired or rebuilt).
+  /// The components partition for the current epoch, rebuilt from the
+  /// snapshot when stale.
   const Components& components(const GridIndex& index);
 
   /// Memoized k-hop neighborhood of `id` — (node, hops) pairs sorted by id,
-  /// excluding `id` itself.  Entries are revalidated per epoch in place, so
-  /// the per-tick re-query of a stable (id, k) pair reuses its buffers and
-  /// allocates nothing in steady state.
+  /// excluding `id` itself — from a depth-bounded BFS on the snapshot.
+  /// Entries are revalidated per epoch in place, so the per-tick re-query of
+  /// a stable (id, k) pair reuses its buffers and allocates nothing in
+  /// steady state.
   const std::vector<std::pair<NodeId, std::uint32_t>>& k_hop(
       const GridIndex& index, NodeId id, std::uint32_t k);
 
@@ -202,15 +197,8 @@ class TopologyCache {
   // -- introspection (differential tests, fig_metro phase reports) ---------
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
   std::uint64_t incremental_patches() const { return incremental_patches_; }
-  std::uint64_t component_repairs() const { return component_repairs_; }
-  std::uint64_t repair_bailouts() const { return repair_bailouts_; }
 
  private:
-  struct AdjRow {
-    std::vector<NodeId> nbrs;
-    std::uint64_t epoch = 0;  ///< 0 = never computed (index epochs start at 1)
-  };
-
   struct JournalEvent {
     enum Kind : std::uint8_t { kAdd, kRemove, kMove };
     Kind kind;
@@ -223,8 +211,6 @@ class TopologyCache {
     std::vector<std::pair<NodeId, std::uint32_t>> result;
   };
 
-  enum class ReachOutcome { kAllFound, kExhausted, kBudget };
-
   /// Bound on memoized k-hop sets; past it the table restarts.  Generous:
   /// one entry per (node, radius) pair actually queried.
   static constexpr std::size_t kMaxKHopEntries = 4096;
@@ -232,21 +218,6 @@ class TopologyCache {
       std::numeric_limits<std::uint64_t>::max();
   /// Spare pool entries per row so small degree growth patches in place.
   static constexpr std::uint32_t kRowSlack = 2;
-  /// Visit budget for one bounded connectivity search during component
-  /// repair; exhausting it falls back to a full components rebuild.  Sized
-  /// so "did this removal disconnect anything locally?" stays cheap while a
-  /// genuine large bisection (rare, and O(n) to express anyway) rebuilds.
-  static constexpr std::size_t kSplitVisitBudget = 512;
-  /// Total bookkeeping budget (group renumbering, member splices) for one
-  /// repair pass; past it a full rebuild is cheaper than the repair.
-  static constexpr std::size_t kRepairWorkBudget = std::size_t{1} << 20;
-  /// Caps on the edge/removal diffs accumulated between components()
-  /// queries; past them the pending repair is abandoned.
-  static constexpr std::size_t kMaxPendingEdges = std::size_t{1} << 16;
-  static constexpr std::size_t kMaxPendingRemovals = std::size_t{1} << 14;
-  /// Largest id the O(1) stamp table for the local (CSR-less) k-hop BFS
-  /// will grow to; bigger ids take the hash-map fallback.
-  static constexpr std::size_t kIdStampLimit = std::size_t{1} << 22;
   /// Below this id the direct-indexed rank table is always built (16 MiB
   /// worst case), even when sparse: patching requires the table, and ids
   /// grow monotonically under churn, so a pure density rule would
@@ -265,9 +236,10 @@ class TopologyCache {
     journal_overflow_ = false;
   }
   void journal_push(JournalEvent ev);
-  /// Drops the accumulated components diff (edge events, removal records,
-  /// pending singletons).
-  void reset_comp_diffs();
+
+  /// Sorted one-hop neighbors of `id` (excluding `id`) straight from the
+  /// grid, into query_buf_: the row a rebuild or a patch writes.
+  const std::vector<NodeId>& compute_row(const GridIndex& index, NodeId id);
 
   void rebuild_csr(const GridIndex& index);
   /// Applies the journal to the existing snapshot.  Returns false (leaving
@@ -277,29 +249,9 @@ class TopologyCache {
   void patch_row(std::uint32_t slot, const std::vector<NodeId>& fresh);
 
   void rebuild_components();
-  /// Repairs comps_ from the accumulated diffs.  Returns false when a
-  /// budget was exhausted; comps_ is then half-mutated garbage and the
-  /// caller must rebuild.
-  bool repair_components();
-  /// Resolves the pairwise-connectivity questions in targets_ (splitting
-  /// groups as needed); false on budget exhaustion.
-  bool resolve_targets(std::size_t* work);
-  /// Splits the sorted id set scratch_reach_ out of group `g`; false on
-  /// budget exhaustion.
-  bool apply_split(std::uint32_t g, std::size_t* work);
-  /// Inserts `group` (sorted members) keeping groups ordered by smallest
-  /// member; false on budget exhaustion.
-  bool insert_group(std::vector<NodeId> group, std::size_t* work);
-  /// Erases group `g`, renumbering group_of for the tail; false on budget.
-  bool erase_group(std::size_t g, std::size_t* work);
-  /// Bounded BFS over the current snapshot from `from`, early-exiting once
-  /// every member of peers_ (sorted) is seen.  On kExhausted,
-  /// scratch_reach_ holds `from`'s complete component, sorted.
-  ReachOutcome bounded_reach(NodeId from);
 
   double range_;
   SimContext* ctx_ = nullptr;
-  std::unordered_map<NodeId, AdjRow> adj_;
 
   Csr csr_;
   std::uint64_t csr_epoch_ = kNoEpoch;
@@ -307,45 +259,24 @@ class TopologyCache {
 
   Components comps_;
   std::uint64_t comps_epoch_ = kNoEpoch;
-  /// True when comps_ matches some past snapshot and the diff accumulators
-  /// below hold the complete delta from it to the current snapshot.
-  bool comps_base_valid_ = false;
 
   std::vector<JournalEvent> journal_;
   bool journal_overflow_ = false;
-
-  // Components diff accumulators (valid while comps_base_valid_).
-  std::vector<NodeId> added_ids_;
-  std::vector<std::pair<NodeId, NodeId>> edge_adds_;
-  std::vector<std::pair<NodeId, NodeId>> edge_removes_;
-  std::vector<NodeId> removal_ids_;
-  std::vector<NodeId> removal_nbrs_;  ///< former neighbors, flattened
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> removal_spans_;
 
   std::unordered_map<std::uint64_t, KHopEntry> khop_;
 
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t incremental_patches_ = 0;
-  std::uint64_t component_repairs_ = 0;
-  std::uint64_t repair_bailouts_ = 0;
 
   // Scratch buffers reused across queries/patches (held at high-water
   // capacity so the steady state allocates nothing).
   std::vector<std::uint32_t> queue_;
-  std::vector<NodeId> cand_buf_;
+  std::vector<NodeId> query_buf_;  ///< grid query results
   std::vector<NodeId> candidates_;
   std::vector<NodeId> ev_ids_;
   std::vector<NodeId> new_ids_;
-  std::vector<std::pair<std::uint32_t, NodeId>> scratch_pairs_;
-  std::vector<NodeId> targets_;
-  std::vector<NodeId> peers_;
-  std::vector<NodeId> scratch_reach_;
-  std::vector<NodeId> scratch_merge_;
   std::vector<std::uint64_t> stamp_;  ///< slot-indexed visit stamps (bfs())
   std::uint64_t stamp_token_ = 0;
-  std::vector<std::uint64_t> id_stamp_;  ///< id-indexed (local k-hop BFS)
-  std::uint64_t id_stamp_token_ = 0;
-  std::vector<std::pair<NodeId, std::uint32_t>> khop_frontier_;
 };
 
 }  // namespace qip

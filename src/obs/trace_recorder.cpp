@@ -1,5 +1,6 @@
 #include "obs/trace_recorder.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -136,22 +137,22 @@ TraceRecorder& process_recorder() {
 }
 
 void TraceRecorder::enable() {
-  if (ring_.size() != capacity_) {
-    ring_.assign(capacity_, Event{});
-    head_ = 0;
-    size_ = 0;
-    overwritten_ = 0;
-  }
+  if (limit_ != capacity_) restart();
   wall_origin_ = std::chrono::steady_clock::now();
   enabled_ = true;
 }
 
 void TraceRecorder::clear() {
-  if (ring_.size() != capacity_) ring_.assign(capacity_, Event{});
-  head_ = 0;
-  size_ = 0;
-  overwritten_ = 0;
+  restart();
   wall_origin_ = std::chrono::steady_clock::now();
+}
+
+void TraceRecorder::restart() {
+  chunks_.clear();
+  size_ = 0;
+  head_ = 0;
+  overwritten_ = 0;
+  limit_ = capacity_;
 }
 
 void TraceRecorder::set_capacity(std::size_t events) {
@@ -160,12 +161,18 @@ void TraceRecorder::set_capacity(std::size_t events) {
 }
 
 Event& TraceRecorder::push() {
-  if (size_ < ring_.size()) {
-    return ring_[size_++];
+  if (size_ < limit_) {
+    // The ring grows a chunk at a time, so a run pays for the events it
+    // records and growing never copies or frees a buffer.
+    if (size_ == chunks_.size() * kChunkEvents) {
+      chunks_.push_back(
+          std::make_unique<Event[]>(std::min(kChunkEvents, limit_ - size_)));
+    }
+    return at(size_++);
   }
   // Ring full: overwrite the oldest entry.
-  Event& slot = ring_[head_];
-  head_ = (head_ + 1) % ring_.size();
+  Event& slot = at(head_);
+  head_ = (head_ + 1) % size_;
   ++overwritten_;
   return slot;
 }
@@ -250,7 +257,7 @@ void TraceRecorder::complete_wall(const char* name, const char* cat,
 
 void TraceRecorder::merge_from(const TraceRecorder& other) {
   if (other.size_ == 0) return;
-  if (ring_.size() != capacity_) ring_.assign(capacity_, Event{});
+  if (limit_ != capacity_) restart();
   // Span ids allocated by `other` restart at 1; shifting them past the ids
   // already allocated here keeps begin/end pairing intact and collision-free.
   const std::uint64_t id_base = spans_allocated();
@@ -272,13 +279,9 @@ double TraceRecorder::wall_now_us() const {
 std::vector<Event> TraceRecorder::events() const {
   std::vector<Event> out;
   out.reserve(size_);
-  if (size_ < ring_.size()) {
-    out.assign(ring_.begin(), ring_.begin() + static_cast<long>(size_));
-    return out;
-  }
-  // Full ring: oldest entry sits at head_.
-  out.insert(out.end(), ring_.begin() + static_cast<long>(head_), ring_.end());
-  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<long>(head_));
+  // The oldest entry sits at head_ (0 until the ring wraps).
+  for (std::size_t i = head_; i < size_; ++i) out.push_back(at(i));
+  for (std::size_t i = 0; i < head_; ++i) out.push_back(at(i));
   return out;
 }
 

@@ -9,10 +9,11 @@
 //     `obs::tracing_on()`, a single inline bool read, so a run that never
 //     enables tracing pays one predictable branch per potential event and
 //     allocates nothing.
-//   * Allocation-free when enabled: an Event is a fixed-size struct whose
-//     names, categories and string args are string *literals* (the recorder
-//     stores the pointers, never copies).  The ring is allocated once, on
-//     enable.
+//   * Cheap when enabled: an Event is a fixed-size struct whose names,
+//     categories and string args are string *literals* (the recorder stores
+//     the pointers, never copies).  The ring grows in fixed-size chunks as
+//     it fills (one allocation per 4,096 events), up to its capacity, so a
+//     run pays for the events it records, not for the whole ring.
 //   * Deterministic: recording draws no randomness and never perturbs the
 //     simulation; enabling tracing must leave every protocol outcome
 //     byte-identical (the trace_invariance ctests enforce this for all
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,7 +78,8 @@ enum class Phase : std::uint8_t {
   kComplete,  ///< wall-clock section: ts/dur are microseconds since enable
 };
 
-/// Fixed-size trace entry.  ~200 bytes; the ring's memory is capacity × this.
+/// Fixed-size trace entry.  ~200 bytes; the ring holds at most capacity of
+/// them.
 struct Event {
   static constexpr std::size_t kMaxArgs = 6;
 
@@ -107,15 +110,18 @@ class TraceRecorder {
   TraceRecorder() = default;
 
   bool enabled() const { return enabled_; }
-  /// Allocates the ring (if needed) and starts recording.  The wall-clock
-  /// origin for profile sections is (re)anchored here.
+  /// Starts recording.  The ring grows as events arrive, up to capacity(),
+  /// so a short run never pays for a full ring.  The wall-clock origin for
+  /// profile sections is (re)anchored here.
   void enable();
   void disable() { enabled_ = false; }
-  /// Drops all recorded events; keeps the ring allocation and enabled state.
+  /// Drops all recorded events and releases the ring; keeps the enabled
+  /// state.
   void clear();
 
   /// Ring capacity in events (default 1<<18; QIP_TRACE_BUF overrides).
-  /// Takes effect on the next enable()/clear().
+  /// Takes effect on the next enable()/clear(); enable() then drops the
+  /// events recorded under the old capacity.
   void set_capacity(std::size_t events);
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
@@ -163,14 +169,27 @@ class TraceRecorder {
   bool dump_file(const std::string& path) const;
 
  private:
+  /// Events per ring chunk (768 KiB).
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << 12;
+
   Event& push();
+  Event& at(std::size_t i) const {
+    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  }
+  /// Releases the ring and starts it over at the current capacity.
+  void restart();
   void init_from_env();
 
   bool enabled_ = false;
   std::size_t capacity_ = 1u << 18;
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;  ///< next write slot once the ring is full
+  /// Capacity the ring was last started with; push() appends up to it and
+  /// then overwrites the oldest event.
+  std::size_t limit_ = 0;
+  /// Ring slot i lives in chunks_[i / kChunkEvents]; every chunk but the
+  /// last of a full ring holds kChunkEvents slots.
+  std::vector<std::unique_ptr<Event[]>> chunks_;
   std::size_t size_ = 0;
+  std::size_t head_ = 0;  ///< next write slot once the ring is full
   std::uint64_t overwritten_ = 0;
   std::uint64_t next_span_ = 1;
   std::chrono::steady_clock::time_point wall_origin_;

@@ -147,6 +147,9 @@ TEST(InjectPlan, ParsesEveryKind) {
   EXPECT_TRUE(plan.matches(InjectKind::kHang, 1, 2));
   EXPECT_FALSE(plan.matches(InjectKind::kHang, 2, 1));
   EXPECT_EQ(plan.die_after, 5u);
+  ASSERT_TRUE(InjectPlan::parse("crash:3@4294967295", &plan, &err)) << err;
+  EXPECT_TRUE(plan.matches(InjectKind::kCrash, 3, 4294967295u));
+  EXPECT_FALSE(plan.matches(InjectKind::kCrash, 3, 0));
   InjectPlan empty;
   ASSERT_TRUE(InjectPlan::parse("", &empty, &err));
   EXPECT_TRUE(empty.points.empty());
@@ -162,6 +165,8 @@ TEST(InjectPlan, RejectsMalformedTerms) {
   EXPECT_FALSE(InjectPlan::parse("crash:1@-2", &plan, &err));
   EXPECT_FALSE(InjectPlan::parse("die-after:soon", &plan, &err));
   EXPECT_FALSE(InjectPlan::parse("crash:1@0,,hang:2@0", &plan, &err));
+  // Attempts are 32-bit: 2^32 must not wrap around to attempt 0.
+  EXPECT_FALSE(InjectPlan::parse("crash:3@4294967296", &plan, &err));
 }
 
 TEST(InjectPlanDeathTest, MalformedEnvExitsTwo) {

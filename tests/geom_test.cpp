@@ -126,23 +126,6 @@ TEST(GridIndex, EpochBumpsOnEveryMutation) {
   EXPECT_GT(idx.epoch(), e3);
 }
 
-TEST(GridIndex, WindowVersionIsLocal) {
-  GridIndex idx(100.0);
-  idx.insert(1, {50, 50});
-  const auto near_origin = idx.window_version({50, 50}, 100.0);
-  EXPECT_EQ(near_origin, idx.epoch());
-  // A mutation far away must not disturb the origin's window...
-  idx.insert(2, {900, 900});
-  EXPECT_EQ(idx.window_version({50, 50}, 100.0), near_origin);
-  // ...but a nearby one must.
-  idx.insert(3, {60, 60});
-  EXPECT_GT(idx.window_version({50, 50}, 100.0), near_origin);
-  // Emptying a cell is a mutation its window must still report.
-  const auto far_before = idx.window_version({900, 900}, 100.0);
-  idx.remove(2);
-  EXPECT_GT(idx.window_version({900, 900}, 100.0), far_before);
-}
-
 TEST(GridIndex, QueryRadiusLargerThanCell) {
   GridIndex idx(50.0);
   idx.insert(1, {400, 0});
