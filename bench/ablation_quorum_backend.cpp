@@ -69,13 +69,12 @@ JsonValue section_checker() {
   TextTable t({"backend", "check", "n", "views", "shrinks", "pairs",
                "verdict"});
   for (QuorumBackend b : kBackends) {
-    const QuorumPolicy& policy = quorum_policy(b);
-    render_checker(t, rows, policy.name(), "exhaustive", 5,
-                   check_intersection_exhaustive(policy, 5));
-    render_checker(t, rows, policy.name(), "exhaustive", 6,
-                   check_intersection_exhaustive(policy, 6));
-    render_checker(t, rows, policy.name(), "random", 14,
-                   check_intersection_random(policy, 14, 0x5eed, 48));
+    render_checker(t, rows, to_string(b), "exhaustive", 5,
+                   check_intersection_exhaustive(b, 5));
+    render_checker(t, rows, to_string(b), "exhaustive", 6,
+                   check_intersection_exhaustive(b, 6));
+    render_checker(t, rows, to_string(b), "random", 14,
+                   check_intersection_random(b, 14, 0x5eed, 48));
   }
   // Federated declarations beyond flat majority: a sound non-uniform config
   // passes, two self-trusting cliques are refuted.

@@ -3,7 +3,6 @@
 
 #include <numeric>
 
-#include "quorum/dynamic_linear.hpp"
 #include "quorum/intersection_checker.hpp"
 #include "quorum/quorum_policy.hpp"
 #include "quorum/quorum_system.hpp"
@@ -44,30 +43,18 @@ static void BM_CoversQuorum(benchmark::State& state) {
 BENCHMARK(BM_CoversQuorum);
 
 static void BM_QuorumThreshold(benchmark::State& state) {
-  // g walks all 32 (size, distinguished) pairs: sizes 1..16, then the bit.
+  // The engine's per-tally rule; g walks all 32 (size, distinguished)
+  // pairs: sizes 1..16, then the bit.
+  const auto backend = static_cast<QuorumBackend>(state.range(0));
   std::uint32_t g = 0;
   for (auto _ : state) {
     const std::uint32_t size = 1 + g % 16;
     const bool distinguished = (g / 16) % 2 != 0;
     ++g;
-    benchmark::DoNotOptimize(quorum_threshold(size, distinguished));
+    benchmark::DoNotOptimize(quorum_threshold(backend, size, distinguished));
   }
 }
-BENCHMARK(BM_QuorumThreshold);
-
-static void BM_PolicyThreshold(benchmark::State& state) {
-  // The engine's hot-path dispatch: virtual threshold() per vote tally.
-  const QuorumPolicy& policy =
-      quorum_policy(static_cast<QuorumBackend>(state.range(0)));
-  std::uint32_t g = 0;
-  for (auto _ : state) {
-    const std::uint32_t size = 1 + g % 16;
-    const bool distinguished = (g / 16) % 2 != 0;
-    ++g;
-    benchmark::DoNotOptimize(policy.threshold(size, distinguished));
-  }
-}
-BENCHMARK(BM_PolicyThreshold)->Arg(0)->Arg(1);
+BENCHMARK(BM_QuorumThreshold)->Arg(0)->Arg(1);
 
 static void BM_SlicesIsQuorum(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -90,19 +77,17 @@ static void BM_FromSlices(benchmark::State& state) {
 BENCHMARK(BM_FromSlices)->Arg(6)->Arg(10);
 
 static void BM_CheckerExhaustive(benchmark::State& state) {
-  const QuorumPolicy& policy =
-      quorum_policy(static_cast<QuorumBackend>(state.range(0)));
+  const auto backend = static_cast<QuorumBackend>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(check_intersection_exhaustive(policy, 6));
+    benchmark::DoNotOptimize(check_intersection_exhaustive(backend, 6));
   }
 }
 BENCHMARK(BM_CheckerExhaustive)->Arg(0)->Arg(1);
 
 static void BM_CheckerRandom(benchmark::State& state) {
-  const QuorumPolicy& policy = quorum_policy(QuorumBackend::kDynamicLinear);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        check_intersection_random(policy, 14, 0x5eed, 16));
+    benchmark::DoNotOptimize(check_intersection_random(
+        QuorumBackend::kDynamicLinear, 14, 0x5eed, 16));
   }
 }
 BENCHMARK(BM_CheckerRandom);

@@ -218,17 +218,6 @@ bool AddressBlock::disjoint_with(const AddressBlock& other) const {
   return true;
 }
 
-std::vector<IpAddress> AddressBlock::to_vector() const {
-  std::vector<IpAddress> out;
-  out.reserve(size());
-  for (const auto& r : ranges_)
-    for (std::uint32_t v = r.lo.value();; ++v) {
-      out.push_back(IpAddress(v));
-      if (v == r.hi.value()) break;
-    }
-  return out;
-}
-
 std::string AddressBlock::to_string() const {
   std::ostringstream os;
   os << *this;

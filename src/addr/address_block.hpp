@@ -80,9 +80,6 @@ class AddressBlock {
 
   const std::vector<Range>& ranges() const { return ranges_; }
 
-  /// Enumerates every address (test/debug use; pools are small).
-  std::vector<IpAddress> to_vector() const;
-
   /// "[10.0.0.0-10.0.0.127], [10.0.1.3]" style rendering.
   std::string to_string() const;
 

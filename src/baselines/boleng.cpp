@@ -36,11 +36,6 @@ std::uint32_t BolengProtocol::address_bits(NodeId id) const {
   return it == nodes_.end() ? 0 : it->second.bits;
 }
 
-IpAddress BolengProtocol::known_max(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? IpAddress{} : it->second.max_seen;
-}
-
 void BolengProtocol::node_entered(NodeId id) {
   auto [slot, fresh] = nodes_.try_emplace(id);
   if (!fresh) slot->second = NodeState{};
@@ -110,16 +105,10 @@ void BolengProtocol::start_beacons() {
   if (beacons_running_) return;
   beacons_running_ = true;
   beacon_timer_ = sim().after(params_.beacon_interval, [this] {
-    if (!beacons_running_) return;
     beacon_tick();
     beacons_running_ = false;
     start_beacons();
   });
-}
-
-void BolengProtocol::stop_beacons() {
-  beacons_running_ = false;
-  beacon_timer_.cancel();
 }
 
 void BolengProtocol::beacon_tick() {

@@ -50,14 +50,11 @@ class BolengProtocol : public AutoconfProtocol {
   std::optional<IpAddress> address_of(NodeId id) const override;
 
   void start_beacons();
-  void stop_beacons();
   /// One parameter-dissemination round (exposed for tests).
   void beacon_tick();
 
   /// Bits needed for the highest address a node currently knows of.
   std::uint32_t address_bits(NodeId id) const;
-  /// Highest address this node believes exists.
-  IpAddress known_max(NodeId id) const;
   /// Duplicate assignments currently live (omniscient view; arise only from
   /// assignment during partitions).
   std::uint64_t actual_duplicates() const;

@@ -133,16 +133,10 @@ void BuddyProtocol::start_sync() {
   if (sync_running_) return;
   sync_running_ = true;
   sync_timer_ = sim().after(params_.sync_interval, [this] {
-    if (!sync_running_) return;
     sync_tick();
     sync_running_ = false;
     start_sync();
   });
-}
-
-void BuddyProtocol::stop_sync() {
-  sync_running_ = false;
-  sync_timer_.cancel();
 }
 
 void BuddyProtocol::sync_tick() {

@@ -50,7 +50,6 @@ class BuddyProtocol : public AutoconfProtocol {
   std::optional<IpAddress> address_of(NodeId id) const override;
 
   void start_sync();
-  void stop_sync();
   /// One synchronization round (exposed for tests).
   void sync_tick();
 

@@ -32,13 +32,6 @@ bool CTreeProtocol::is_coordinator(NodeId id) const {
   return it != nodes_.end() && it->second.coordinator;
 }
 
-std::size_t CTreeProtocol::coordinator_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, st] : nodes_)
-    if (st.coordinator) ++n;
-  return n;
-}
-
 std::uint64_t CTreeProtocol::visible_space(NodeId coordinator) const {
   auto it = nodes_.find(coordinator);
   if (it == nodes_.end() || !it->second.coordinator) return 0;
@@ -210,16 +203,10 @@ void CTreeProtocol::start_updates() {
   if (updates_running_) return;
   updates_running_ = true;
   update_timer_ = sim().after(params_.update_interval, [this] {
-    if (!updates_running_) return;
     update_tick();
     updates_running_ = false;
     start_updates();
   });
-}
-
-void CTreeProtocol::stop_updates() {
-  updates_running_ = false;
-  update_timer_.cancel();
 }
 
 void CTreeProtocol::update_tick() {
@@ -358,14 +345,6 @@ std::uint64_t CTreeProtocol::allocations_of(NodeId coordinator) const {
   auto it = nodes_.find(coordinator);
   if (it == nodes_.end() || !it->second.coordinator) return 0;
   return it->second.coord.allocated.size();
-}
-
-std::uint64_t CTreeProtocol::total_tracked_allocations() const {
-  std::uint64_t n = 0;
-  for (const auto& [id, st] : nodes_) {
-    if (st.coordinator) n += st.coord.allocated.size();
-  }
-  return n;
 }
 
 std::uint64_t CTreeProtocol::info_loss_if_dead(

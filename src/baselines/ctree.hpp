@@ -58,13 +58,11 @@ class CTreeProtocol : public AutoconfProtocol {
   std::optional<IpAddress> address_of(NodeId id) const override;
 
   void start_updates();
-  void stop_updates();
   /// One periodic update round (exposed for tests / figures).
   void update_tick();
 
   NodeId root() const { return root_; }
   bool is_coordinator(NodeId id) const;
-  std::size_t coordinator_count() const;
 
   /// Free pool a coordinator can allocate from — no replication, so this is
   /// its own block only (Fig. 12's comparison quantity).
@@ -75,7 +73,6 @@ class CTreeProtocol : public AutoconfProtocol {
   /// right now: allocations made since their last root update — or their
   /// whole tables when the root itself is among the dead (Fig. 13).
   std::uint64_t info_loss_if_dead(const std::set<NodeId>& dead) const;
-  std::uint64_t total_tracked_allocations() const;
   /// Allocations recorded by one coordinator (0 for non-coordinators).
   std::uint64_t allocations_of(NodeId coordinator) const;
 

@@ -51,16 +51,10 @@ void PdadProtocol::start_routing() {
   if (routing_running_) return;
   routing_running_ = true;
   routing_timer_ = sim().after(params_.routing_interval, [this] {
-    if (!routing_running_) return;
     routing_tick();
     routing_running_ = false;
     start_routing();
   });
-}
-
-void PdadProtocol::stop_routing() {
-  routing_running_ = false;
-  routing_timer_.cancel();
 }
 
 void PdadProtocol::flag_duplicate(NodeId observer, IpAddress addr) {

@@ -55,7 +55,6 @@ class PdadProtocol : public AutoconfProtocol {
   std::optional<IpAddress> address_of(NodeId id) const override;
 
   void start_routing();
-  void stop_routing();
   /// One routing round (exposed for tests).
   void routing_tick();
 

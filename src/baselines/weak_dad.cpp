@@ -57,16 +57,10 @@ void WeakDadProtocol::start_updates() {
   if (updates_running_) return;
   updates_running_ = true;
   update_timer_ = sim().after(params_.update_interval, [this] {
-    if (!updates_running_) return;
     update_tick();
     updates_running_ = false;
     start_updates();
   });
-}
-
-void WeakDadProtocol::stop_updates() {
-  updates_running_ = false;
-  update_timer_.cancel();
 }
 
 void WeakDadProtocol::update_tick() {

@@ -55,7 +55,6 @@ class WeakDadProtocol : public AutoconfProtocol {
   std::optional<IpAddress> address_of(NodeId id) const override;
 
   void start_updates();
-  void stop_updates();
   /// One link-state dissemination round (exposed for tests).
   void update_tick();
 

@@ -66,8 +66,6 @@ class CampaignJournal {
   bool open_resume(const std::string& path, const CampaignSpec& spec,
                    std::vector<CellProgress>* progress, std::string* err);
 
-  bool is_open() const { return file_ != nullptr; }
-
   void record_start(std::size_t idx, std::uint32_t attempt);
   void record_done(std::size_t idx, std::uint32_t attempt,
                    std::uint64_t result_digest);

@@ -84,7 +84,6 @@ class CampaignRunner {
   bool run(CampaignOutcome* out, std::string* err);
 
   const std::string& journal_path() const { return journal_path_; }
-  const std::string& cells_dir() const { return cells_dir_; }
 
  private:
   struct Pending;  // per-cell scheduling state (runner.cpp)

@@ -8,7 +8,6 @@
 
 #include "fault/adversary.hpp"
 #include "sim/sim_context.hpp"
-#include "quorum/dynamic_linear.hpp"
 
 namespace qip {
 
@@ -383,7 +382,7 @@ void QipEngine::pump_pending(NodeId allocator) {
   auto& st = node(allocator);
   if (st.active_txn != 0 || st.pending.empty()) return;
   const PendingRequest req = st.pending.front();
-  st.pending.pop_front();
+  st.pending.erase(st.pending.begin());
   if (!alive(req.requestor) || !topology().has_node(req.requestor)) {
     pump_pending(allocator);
     return;
@@ -429,7 +428,7 @@ void QipEngine::begin_txn(NodeId allocator, const PendingRequest& req) {
       t.retry_timer.cancel();
       st.active_txn = 0;
       txns_.erase(id);
-      st.pending.push_front(req);
+      st.pending.insert(st.pending.begin(), req);
       sim().post(params_.busy_backoff,
                   [this, allocator] { pump_pending(allocator); });
       return;
@@ -680,8 +679,9 @@ void QipEngine::start_quorum_round(ConfigTxn& txn) {
 
 std::uint32_t QipEngine::quorum_needed(const ConfigTxn& txn) const {
   // Confirmations required *including our own copy's vote*.  The group is a
-  // symmetric QDSet, so the backend's counting form decides (docs/QUORUM.md).
-  return policy().threshold(txn.group_size, txn.distinguished_ok);
+  // symmetric QDSet, so the backend's counting rule decides (docs/QUORUM.md).
+  return quorum_threshold(params_.quorum, txn.group_size,
+                          txn.distinguished_ok);
 }
 
 void QipEngine::handle_quorum_clt(NodeId voter, NodeId allocator,

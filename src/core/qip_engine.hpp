@@ -81,9 +81,6 @@ class QipEngine : public AutoconfProtocol {
 
   // -- Introspection (tests, figures) --------------------------------------
   const QipParams& params() const { return params_; }
-  /// The quorum backend every quorum-critical decision dispatches through
-  /// (vote tallying, maintenance quorate checks, hardened cross-checks).
-  const QuorumPolicy& policy() const { return quorum_policy(params_.quorum); }
   const ClusterView& clusters() const { return clusters_; }
   bool knows(NodeId id) const { return nodes_.contains(id); }
   const QipNodeState& state_of(NodeId id) const;
@@ -106,9 +103,8 @@ class QipEngine : public AutoconfProtocol {
   /// hello timer; exposed for tests).
   void hello_tick();
 
-  /// Starts/stops the periodic hello timer.
+  /// Starts the periodic hello timer.
   void start_hello();
-  void stop_hello();
 
   /// The ack+retransmit channel quorum-critical RPCs ride under fault
   /// injection (pass-through otherwise).  Exposed so fault tests can read
@@ -150,7 +146,6 @@ class QipEngine : public AutoconfProtocol {
 
   /// Peers expelled by hardened mode (network-wide revocation): their claims
   /// are void, they are excluded from allocation, voting and replica groups.
-  const std::set<NodeId>& quarantined_nodes() const { return quarantined_; }
   bool is_quarantined(NodeId id) const { return quarantined_.count(id) != 0; }
   std::uint64_t quarantines() const { return quarantines_; }
   std::uint64_t challenges_sent() const { return challenges_sent_; }

@@ -19,16 +19,10 @@ void QipEngine::start_hello() {
   if (hello_running_) return;
   hello_running_ = true;
   hello_timer_ = sim().after(params_.hello_interval, [this] {
-    if (!hello_running_) return;
     hello_tick();
     hello_running_ = false;
     start_hello();
   });
-}
-
-void QipEngine::stop_hello() {
-  hello_running_ = false;
-  hello_timer_.cancel();
 }
 
 void QipEngine::hello_tick() {
@@ -279,7 +273,8 @@ void QipEngine::shrink_quorum(NodeId head, NodeId missing) {
     if (m == distinguished) distinguished_reachable = true;
   }
   const bool quorate =
-      policy().satisfied(group, reachable, distinguished_reachable);
+      reachable >=
+      quorum_threshold(params_.quorum, group, distinguished_reachable);
   if (!quorate) {
     return;  // re-suspected on the next hello scan if still unreachable
   }
@@ -502,7 +497,8 @@ void QipEngine::finish_reclamation(NodeId dead_head) {
   // distinguished (lowest-id) copy.  The same rule gates allocations, so
   // two partitioned halves can never both act.
   const bool quorate =
-      policy().satisfied(group, reachable_copies, distinguished_reachable);
+      reachable_copies >=
+      quorum_threshold(params_.quorum, group, distinguished_reachable);
   if (!quorate) {
     close_span("no_quorum");
     return;

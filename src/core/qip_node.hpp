@@ -5,10 +5,10 @@
 // another node's state except through a simulated message.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "addr/address_block.hpp"
 #include "addr/allocation_table.hpp"
@@ -71,8 +71,11 @@ struct QipNodeState {
   /// kNoNode never appears; a head's own space is keyed by its own id).
   std::map<NodeId, SpaceLock> space_locks;
 
-  /// Configuration requests serialized behind the local space lock.
-  std::deque<PendingRequest> pending;
+  /// Configuration requests serialized behind the local space lock, oldest
+  /// first.  A vector, not a deque: the queue holds a few requests at most,
+  /// and an empty vector allocates nothing (libstdc++'s deque allocates its
+  /// map and a first node even when empty).
+  std::vector<PendingRequest> pending;
   /// Transaction this head is currently coordinating (0 = none).
   std::uint64_t active_txn = 0;
 

@@ -30,21 +30,10 @@ FaultInjector& World::enable_faults(const FaultPlan& plan) {
   return *faults_;
 }
 
-void World::disable_faults() {
-  transport_.set_fault_injector(nullptr);
-  faults_.reset();
-}
-
 AdversaryController& World::enable_adversary(const AdversaryPlan& plan) {
   adversary_ = std::make_unique<AdversaryController>(plan);
   ctx_->set_adversary(adversary_.get());
   return *adversary_;
-}
-
-void World::disable_adversary() {
-  if (adversary_ && ctx_->adversary() == adversary_.get())
-    ctx_->set_adversary(nullptr);
-  adversary_.reset();
 }
 
 UniquenessAuditor& World::audit(const AutoconfProtocol& proto,

@@ -59,7 +59,6 @@ class World {
   /// and returns the injector for stats inspection.  A null plan leaves the
   /// run byte-identical to one that never called this.
   FaultInjector& enable_faults(const FaultPlan& plan);
-  void disable_faults();
   FaultInjector* faults() { return faults_.get(); }
   const FaultInjector* faults() const { return faults_.get(); }
 
@@ -68,7 +67,6 @@ class World {
   /// it.  A null plan leaves the run byte-identical to one that never called
   /// this; attacks engage only while their sim-time windows are open.
   AdversaryController& enable_adversary(const AdversaryPlan& plan);
-  void disable_adversary();
   AdversaryController* adversary() { return adversary_.get(); }
   const AdversaryController* adversary() const { return adversary_.get(); }
 

@@ -119,7 +119,6 @@ class AutoconfProtocol {
   SimContext& ctx() const { return transport_.ctx(); }
 
   ConfigRecord& record_for(NodeId id) { return records_[id]; }
-  void drop_record(NodeId id) { records_.erase(id); }
 
  private:
   Transport& transport_;

@@ -15,9 +15,9 @@ ReliableChannel::~ReliableChannel() {
   for (auto& [seq, p] : pending_) p.timer.cancel();
 }
 
-std::optional<std::uint32_t> ReliableChannel::send(
-    NodeId from, NodeId to, Traffic traffic, Receiver on_deliver,
-    std::function<void()> on_give_up) {
+std::optional<std::uint32_t> ReliableChannel::send(NodeId from, NodeId to,
+                                                   Traffic traffic,
+                                                   Receiver on_deliver) {
   if (!active()) {
     // Paper model (or force-disabled): a plain metered unicast, no acks, no
     // sequence numbers, no state — byte-identical to the seed behavior.
@@ -30,7 +30,6 @@ std::optional<std::uint32_t> ReliableChannel::send(
   p.to = to;
   p.traffic = traffic;
   p.on_deliver = std::move(on_deliver);
-  p.on_give_up = std::move(on_give_up);
   p.timeout = params_.retry_timeout;
   auto [it, fresh] = pending_.emplace(seq, std::move(p));
   QIP_ASSERT(fresh);
@@ -60,15 +59,12 @@ void ReliableChannel::arm_timer(std::uint64_t seq) {
     if (pit == pending_.end()) return;  // acked meanwhile
     if (pit->second.tries > params_.max_retries) {
       ++gave_up_;
-      ++gave_up_by_dest_[pit->second.to];
       if (transport_.ctx().tracing_on()) {
         transport_.ctx().recorder().instant(
             transport_.sim().now(), "give_up", "rpc", pit->second.from,
             {{"to", pit->second.to}, {"tries", pit->second.tries}});
       }
-      auto fail = std::move(pit->second.on_give_up);
       pending_.erase(pit);
-      if (fail) fail();
       return;
     }
     attempt(seq);
@@ -106,7 +102,7 @@ void ReliableChannel::on_data(std::uint64_t seq, std::uint32_t hops) {
   if (it == pending_.end()) {
     // The sender already gave up (or was acked and this is a duplicate copy
     // of a retransmission): late data is dropped, mirroring an aborted RPC.
-    if (delivered_.count(seq)) {
+    if (seq < delivered_.size() && delivered_[seq]) {
       ++duplicates_suppressed_;
       if (transport_.ctx().tracing_on()) {
         transport_.ctx().recorder().instant(transport_.sim().now(),
@@ -133,7 +129,9 @@ void ReliableChannel::on_data(std::uint64_t seq, std::uint32_t hops) {
                                              "rpc", to, {{"to", from}});
     }
   }
-  if (delivered_.insert(seq).second) {
+  if (seq >= delivered_.size()) delivered_.resize(seq + 1);
+  if (!delivered_[seq]) {
+    delivered_[seq] = true;
     deliver(to, hops);
   } else {
     ++duplicates_suppressed_;

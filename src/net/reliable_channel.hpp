@@ -20,10 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/transport.hpp"
 
@@ -57,11 +56,10 @@ class ReliableChannel {
   /// when `to` is unreachable right now (no retry state is kept then — the
   /// caller sees the same synchronous failure as a raw unicast).  Once the
   /// first copy is on the wire the channel retransmits on ack timeout until
-  /// `max_retries` is exhausted, then calls `on_give_up` (if any).
+  /// `max_retries` is exhausted, then gives up (counted in gave_up()).
   /// `on_deliver` runs at most once at the receiver (dedup by sequence).
   std::optional<std::uint32_t> send(NodeId from, NodeId to, Traffic traffic,
-                                    Receiver on_deliver,
-                                    std::function<void()> on_give_up = {});
+                                    Receiver on_deliver);
 
   // -- Introspection ---------------------------------------------------------
   std::uint64_t retransmissions() const { return retransmissions_; }
@@ -69,13 +67,6 @@ class ReliableChannel {
   std::uint64_t gave_up() const { return gave_up_; }
   std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
   std::size_t in_flight() const { return pending_.size(); }
-  /// Exhausted-retry give-ups toward one destination — the channel-level
-  /// symptom of a peer that accepts routes but never acks.  Hardened
-  /// engines read this as corroborating evidence against a suspect.
-  std::uint64_t gave_up_to(NodeId to) const {
-    const auto it = gave_up_by_dest_.find(to);
-    return it == gave_up_by_dest_.end() ? 0 : it->second;
-  }
 
  private:
   struct Pending {
@@ -83,7 +74,6 @@ class ReliableChannel {
     NodeId to = kNoNode;
     Traffic traffic{};
     Receiver on_deliver;
-    std::function<void()> on_give_up;
     std::uint32_t tries = 0;  ///< attempts already transmitted
     SimTime timeout = 0.0;    ///< next ack deadline
     EventHandle timer;
@@ -98,14 +88,14 @@ class ReliableChannel {
   ReliableParams params_;
   bool enabled_ = true;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  /// Sequence numbers already delivered to their receiver (dedup).
-  std::unordered_set<std::uint64_t> delivered_;
+  /// delivered_[seq]: that sequence number already reached its receiver
+  /// (dedup).  Sequence numbers are dense from 1, so one bit each.
+  std::vector<bool> delivered_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t acks_received_ = 0;
   std::uint64_t gave_up_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-  std::unordered_map<NodeId, std::uint64_t> gave_up_by_dest_;
 };
 
 }  // namespace qip

@@ -110,11 +110,6 @@ class Transport {
   const std::vector<NodeId>& flood_component_view(NodeId from, Traffic t,
                                                   Receiver on_deliver);
 
-  /// Hop distance on the current topology (charging nothing).
-  std::optional<std::uint32_t> hops_between(NodeId a, NodeId b) const {
-    return topology_.hop_distance(a, b);
-  }
-
   /// Pure query: is `id`'s radio outside every crash window right now?
   /// Unlike can_transmit() this tallies nothing, so protocols may poll it
   /// (e.g. to park an entry flow while the radio is down) without skewing

@@ -25,18 +25,10 @@ void Histogram::observe(double v) {
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
-  if (reservoir_) reservoir_->observe(v);
-}
-
-void Histogram::enable_reservoir(std::size_t capacity) {
-  if (!reservoir_) reservoir_ = std::make_unique<StreamingReservoir>(capacity);
 }
 
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
-  if (reservoir_ && reservoir_->sample_size() > 0) {
-    return reservoir_->quantile(q);
-  }
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(count_);
   std::uint64_t seen = 0;
@@ -62,7 +54,6 @@ void Histogram::reset() {
   count_ = 0;
   sum_ = 0.0;
   min_ = max_ = 0.0;
-  if (reservoir_) reservoir_->reset();
 }
 
 void Histogram::merge_from(const Histogram& other) {
@@ -81,30 +72,6 @@ void Histogram::merge_from(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  if (reservoir_ && other.reservoir_) {
-    reservoir_->merge_from(*other.reservoir_);
-  }
-}
-
-double StreamingReservoir::quantile(double q) const {
-  if (sample_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> s = sample_;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(s.size() - 1) + 0.5);
-  std::nth_element(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(idx),
-                   s.end());
-  return s[idx];
-}
-
-void StreamingReservoir::merge_from(const StreamingReservoir& other) {
-  // Feed the other sample through observe(): each retained value stands for
-  // other.seen_/sample_size streams-worth of weight; replaying preserves
-  // expected uniformity well enough for report percentiles while keeping
-  // the merge deterministic (ParallelRunner merges in fixed order).
-  const std::uint64_t seen_before = other.seen_;
-  for (double v : other.sample_) observe(v);
-  seen_ += seen_before - other.sample_.size();
 }
 
 std::vector<double> latency_buckets_s() {

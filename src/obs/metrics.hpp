@@ -62,12 +62,6 @@ class Histogram {
 
   void observe(double v);
 
-  /// Opt-in streaming percentile mode: attaches a reservoir (see
-  /// StreamingReservoir below) that quantile() prefers over bucket
-  /// interpolation.  Off by default so existing exposition is unchanged.
-  void enable_reservoir(std::size_t capacity = 512);
-  bool reservoir_enabled() const { return reservoir_ != nullptr; }
-
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ ? min_ : 0.0; }
@@ -75,7 +69,6 @@ class Histogram {
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
   double quantile(double q) const;
   const std::vector<double>& bounds() const { return bounds_; }
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
   void reset();
 
   /// Folds another histogram's observations into this one.  The bounds must
@@ -90,73 +83,12 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  std::unique_ptr<class StreamingReservoir> reservoir_;  ///< null = bucket mode
 };
 
 /// Exponential bucket bounds for latencies in seconds: 1 µs … ~131 s.
 std::vector<double> latency_buckets_s();
 /// Exponential bucket bounds for wall-clock durations in microseconds.
 std::vector<double> duration_buckets_us();
-
-/// Fixed-size uniform sample of a stream (Vitter's algorithm R) for
-/// percentile estimates that do not depend on bucket boundaries.  Bucketed
-/// histograms answer quantiles by interpolating inside the winning bucket —
-/// fine at microsecond granularity, coarse for long-tailed metro-scale
-/// series where one bucket spans a 2x range.  The reservoir keeps `k`
-/// observations chosen uniformly from the whole stream in O(1) per observe
-/// and O(k log k) per quantile query (snapshot time only).
-///
-/// Replacement uses a self-seeded xorshift generator, NOT the simulation
-/// RNG: sampling draws must never perturb protocol randomness, and a fixed
-/// seed keeps reports reproducible run-to-run.
-class StreamingReservoir {
- public:
-  explicit StreamingReservoir(std::size_t capacity = 512)
-      : capacity_(capacity) {
-    sample_.reserve(capacity);
-  }
-
-  void observe(double v) {
-    ++seen_;
-    if (sample_.size() < capacity_) {
-      sample_.push_back(v);
-      return;
-    }
-    // Keep with probability k/seen: classic algorithm R.
-    const std::uint64_t j = next_rand() % seen_;
-    if (j < capacity_) sample_[static_cast<std::size_t>(j)] = v;
-  }
-
-  /// Quantile over the current sample (exact for streams <= capacity).
-  double quantile(double q) const;
-
-  std::uint64_t seen() const { return seen_; }
-  std::size_t sample_size() const { return sample_.size(); }
-
-  void reset() {
-    sample_.clear();
-    seen_ = 0;
-    state_ = kSeed;
-  }
-
-  /// Folds another reservoir's sample in, re-weighting by streams seen.
-  void merge_from(const StreamingReservoir& other);
-
- private:
-  static constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
-
-  std::uint64_t next_rand() {
-    state_ ^= state_ << 13;
-    state_ ^= state_ >> 7;
-    state_ ^= state_ << 17;
-    return state_;
-  }
-
-  std::size_t capacity_;
-  std::vector<double> sample_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t state_ = kSeed;
-};
 
 class MetricsRegistry {
  public:
@@ -184,8 +116,6 @@ class MetricsRegistry {
   /// Zeroes every series, keeping all handles valid (scenario reuse:
   /// protocol_faceoff resets between runs).
   void reset_values();
-
-  std::size_t series_count() const { return series_.size(); }
 
   /// Text exposition, one `name{labels} value` line per series, sorted by
   /// key; histograms expand to _count/_sum/_p50/_p99/_max lines.

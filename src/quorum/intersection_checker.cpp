@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
-#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -48,15 +47,43 @@ bool sorted_disjoint(const std::vector<std::uint32_t>& a,
   return true;
 }
 
+/// The engine's quorum test on an explicit set: `members` (a subset of the
+/// sorted `view`) is a quorum iff it reaches quorum_threshold(), with the
+/// distinguished bit set when it holds the view's lowest id — the
+/// distinguished copy, as in QipEngine::start_quorum_round.
+bool counts_as_quorum(QuorumBackend backend,
+                      const std::vector<std::uint32_t>& view,
+                      const std::vector<std::uint32_t>& members) {
+  const bool has_distinguished =
+      std::find(members.begin(), members.end(), view.front()) != members.end();
+  return members.size() >=
+         quorum_threshold(backend, static_cast<std::uint32_t>(view.size()),
+                          has_distinguished);
+}
+
 /// Per-view invariant 1: write-write and read-write intersection on the
-/// materialized systems.  Appends the first violation to `report`.
-void check_view(const QuorumPolicy& policy,
-                const std::vector<std::uint32_t>& view,
+/// materialized systems, after checking that quorum_threshold() counts
+/// exactly the subsets of `view` that cover a write quorum.  Appends the
+/// first violation to `report`.
+void check_view(QuorumBackend backend, const std::vector<std::uint32_t>& view,
                 IntersectionReport& report) {
-  // Lowest id plays distinguished, as in QipEngine::start_quorum_round.
-  const std::optional<std::uint32_t> distinguished = view.front();
-  const QuorumSystem writes = policy.materialize(view, distinguished);
-  const QuorumSystem reads = policy.read_system(view, distinguished);
+  const QuorumSystem writes = write_system(backend, view, view.front());
+  const QuorumSystem reads = read_system(backend, view, view.front());
+  const auto n = static_cast<std::uint32_t>(view.size());
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    std::vector<std::uint32_t> members;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) members.push_back(view[i]);
+    }
+    if (counts_as_quorum(backend, view, members) !=
+        writes.covers_quorum(members)) {
+      report.ok = false;
+      report.violation = "quorum_threshold and the write system disagree on " +
+                         set_to_string(members) + " at view " +
+                         set_to_string(view) + " under " + to_string(backend);
+      return;
+    }
+  }
   for (std::size_t i = 0; i < writes.quorums().size(); ++i) {
     for (std::size_t j = i + 1; j < writes.quorums().size(); ++j) {
       ++report.pairs;
@@ -65,7 +92,8 @@ void check_view(const QuorumPolicy& policy,
         report.violation = "disjoint write quorums " +
                            set_to_string(writes.quorums()[i]) + " and " +
                            set_to_string(writes.quorums()[j]) + " at view " +
-                           set_to_string(view) + " under " + policy.name();
+                           set_to_string(view) + " under " +
+                           to_string(backend);
         return;
       }
     }
@@ -78,7 +106,7 @@ void check_view(const QuorumPolicy& policy,
         report.violation = "read quorum " + set_to_string(r) +
                            " misses write quorum " + set_to_string(w) +
                            " at view " + set_to_string(view) + " under " +
-                           policy.name();
+                           to_string(backend);
         return;
       }
     }
@@ -102,15 +130,15 @@ struct SplitMix64 {
 }  // namespace
 
 IntersectionReport check_intersection_exhaustive(
-    const QuorumPolicy& policy, std::uint32_t universe_size) {
+    QuorumBackend backend, std::uint32_t universe_size) {
   QIP_ASSERT_MSG(universe_size >= 1 && universe_size <= 7,
                  "exhaustive checker wants a universe in [1, 7], got "
                      << universe_size);
   IntersectionReport report;
 
   // BFS over view bitmasks, starting from the full universe.  A shrink
-  // G → G\{m} is legal iff the survivors G\{m} still cover a write quorum
-  // of G (invariant 2) — the engine's shrink_quorum gate in set form.
+  // G → G\{m} is legal iff the survivors G\{m} are a quorum of G by the
+  // engine's count (invariant 2) — its shrink_quorum gate in set form.
   const std::uint32_t full = (1u << universe_size) - 1;
   std::deque<std::uint32_t> frontier{full};
   std::unordered_set<std::uint32_t> seen{full};
@@ -119,14 +147,14 @@ IntersectionReport check_intersection_exhaustive(
     frontier.pop_front();
     const std::vector<std::uint32_t> view = mask_to_set(mask, universe_size);
     ++report.views;
-    check_view(policy, view, report);
+    check_view(backend, view, report);
     if (!report.ok) break;
     if (view.size() == 1) continue;
     for (std::uint32_t m : view) {
       const std::uint32_t next = mask & ~(1u << m);
       const std::vector<std::uint32_t> survivors =
           mask_to_set(next, universe_size);
-      if (!policy.is_quorum(view, survivors, view.front())) continue;
+      if (!counts_as_quorum(backend, view, survivors)) continue;
       ++report.shrinks;
       if (seen.insert(next).second) frontier.push_back(next);
     }
@@ -134,7 +162,7 @@ IntersectionReport check_intersection_exhaustive(
   return report;
 }
 
-IntersectionReport check_intersection_random(const QuorumPolicy& policy,
+IntersectionReport check_intersection_random(QuorumBackend backend,
                                              std::uint32_t universe_size,
                                              std::uint64_t seed,
                                              std::uint32_t trials) {
@@ -150,7 +178,6 @@ IntersectionReport check_intersection_random(const QuorumPolicy& policy,
     // splits (A, B) of the view, asserting they are never both quorums.
     while (report.ok) {
       ++report.views;
-      const std::uint32_t distinguished = view.front();
       for (int split = 0; split < 8; ++split) {
         std::vector<std::uint32_t> a, b;
         for (std::uint32_t member : view) {
@@ -158,13 +185,14 @@ IntersectionReport check_intersection_random(const QuorumPolicy& policy,
         }
         if (a.empty() || b.empty()) continue;
         ++report.pairs;
-        if (policy.is_quorum(view, a, distinguished) &&
-            policy.is_quorum(view, b, distinguished)) {
+        if (counts_as_quorum(backend, view, a) &&
+            counts_as_quorum(backend, view, b)) {
           report.ok = false;
           report.violation = "disjoint sets " + set_to_string(a) + " and " +
                              set_to_string(b) +
                              " are both quorums at view " +
-                             set_to_string(view) + " under " + policy.name();
+                             set_to_string(view) + " under " +
+                             to_string(backend);
           break;
         }
       }
@@ -173,7 +201,7 @@ IntersectionReport check_intersection_random(const QuorumPolicy& policy,
       const std::size_t victim = rng.below(view.size());
       std::vector<std::uint32_t> survivors = view;
       survivors.erase(survivors.begin() + victim);
-      if (!policy.is_quorum(view, survivors, view.front())) break;
+      if (!counts_as_quorum(backend, view, survivors)) break;
       ++report.shrinks;
       view = std::move(survivors);
     }

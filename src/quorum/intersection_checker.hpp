@@ -22,7 +22,11 @@
 //      G\{m} still covers a write quorum of G (the survivors can commit it).
 // The checker walks every view reachable from the starting QDSet through
 // legal shrinks and asserts both, exhaustively for small universes and by
-// seeded-random sampling for larger ones.
+// seeded-random sampling for larger ones.  Every quorum test a set passes by
+// counting — shrink legality, the random double-quorum test — asks
+// quorum_threshold(), the function the engine tallies with; per-view
+// intersection materializes write_system()/read_system(), the explicit
+// systems built without it.
 #pragma once
 
 #include <cstdint>
@@ -44,20 +48,20 @@ struct IntersectionReport {
 
 /// Exhaustive check over the universe {0, …, universe_size−1}: enumerates
 /// every view reachable through legal shrinks (BFS over subsets), and at
-/// each view materializes the policy's explicit read/write systems and
+/// each view materializes the backend's explicit read/write systems and
 /// verifies write-write and read-write intersection.  The distinguished
 /// node at each view is its lowest id, matching QipEngine::start_quorum_round.
 /// universe_size is bounded by the materialization caps — keep it <= 7 so
 /// the subset walk stays instant.
-IntersectionReport check_intersection_exhaustive(const QuorumPolicy& policy,
+IntersectionReport check_intersection_exhaustive(QuorumBackend backend,
                                                  std::uint32_t universe_size);
 
 /// Seeded-random check for universes too large to enumerate: runs `trials`
 /// random shrink chains from the full universe, and at every view along each
-/// chain tests random disjoint splits (A, B) for double-quorum via the
-/// policy's set-form is_quorum.  Deterministic for a given seed (own
-/// splitmix64 stream, no std::uniform_int_distribution variance).
-IntersectionReport check_intersection_random(const QuorumPolicy& policy,
+/// chain tests random disjoint splits (A, B) for double-quorum by
+/// quorum_threshold().  Deterministic for a given seed (own splitmix64
+/// stream, no std::uniform_int_distribution variance).
+IntersectionReport check_intersection_random(QuorumBackend backend,
                                              std::uint32_t universe_size,
                                              std::uint64_t seed,
                                              std::uint32_t trials);

@@ -1,11 +1,11 @@
 // Explicit quorum systems over small universes (Definition 1, §II-C).
 //
-// The protocol itself only needs the counting rules in quorum_policy.hpp /
-// dynamic_linear.hpp, but the explicit set-system view is what the paper's
-// Definition 1 and Figure 1 describe, and it is the natural object to
-// property-test (pairwise intersection, minimality).  Universes here are the
-// QDSets of individual cluster heads, i.e. a handful of elements, so the
-// exponential enumeration is fine.
+// The protocol itself only needs the counting rule in quorum_policy.hpp, but
+// the explicit set-system view is what the paper's Definition 1 and Figure 1
+// describe, and it is the natural object to property-test (pairwise
+// intersection, minimality).  Universes here are the QDSets of individual
+// cluster heads, i.e. a handful of elements, so the exponential enumeration
+// is fine.
 #pragma once
 
 #include <cstddef>

@@ -83,12 +83,6 @@ bool SliceConfig::is_v_blocking(const QuorumSlice& slice,
   return surviving < slice.threshold;
 }
 
-bool SliceConfig::v_blocks(std::uint32_t node,
-                           const std::vector<std::uint32_t>& set) const {
-  const QuorumSlice* slice = find(node);
-  return slice != nullptr && is_v_blocking(*slice, set);
-}
-
 bool SliceConfig::is_quorum(const std::vector<std::uint32_t>& set) const {
   if (set.empty()) return false;
   for (std::uint32_t node : set) {

@@ -1,15 +1,15 @@
 // Federated quorum slices with v-blocking sets (SCP style, §II-C analogue).
 //
-// The counting rules (quorum_policy.hpp, dynamic_linear.hpp) are
-// *symmetric*: every copy weighs the same and only cardinality matters.  A federated system —
-// stellar-core's LocalNode idiom — instead lets every node declare its own
-// quorum *slice*: a k-of-n condition over the peers it trusts.  A set of
-// nodes is then a quorum iff it is non-empty and every member's slice is
-// satisfied *within the set*; a set B is v-blocking for a node iff B
+// The counting rule (quorum_threshold in quorum_policy.hpp) is *symmetric*:
+// every copy weighs the same and only cardinality matters.  A federated
+// system — stellar-core's LocalNode idiom — instead lets every node declare
+// its own quorum *slice*: a k-of-n condition over the peers it trusts.  A
+// set of nodes is then a quorum iff it is non-empty and every member's slice
+// is satisfied *within the set*; a set B is v-blocking for a node iff B
 // intersects every way of satisfying that node's slice (so the node can
 // never assemble a slice that avoids B).
 //
-// The engine counts votes with the symmetric rules; slice declarations are
+// The engine counts votes with the symmetric rule; slice declarations are
 // the intersection checker's input format.  flat_majority below is the
 // federated form of majority voting over a QDSet; custom shapes exist for
 // the checker, where deliberately-broken declarations (disjoint trust
@@ -68,12 +68,6 @@ class SliceConfig {
   /// satisfied while avoiding `set`.
   static bool is_v_blocking(const QuorumSlice& slice,
                             const std::vector<std::uint32_t>& set);
-
-  /// Convenience lookup form: is `set` (sorted) v-blocking for `node`'s
-  /// declaration in this config?  A node with no declaration has no slices,
-  /// so nothing blocks it vacuously (false) — callers treat undeclared
-  /// nodes as unsatisfiable instead (see is_quorum).
-  bool v_blocks(std::uint32_t node, const std::vector<std::uint32_t>& set) const;
 
   /// Quorum test (stellar LocalNode::isQuorum): `set` (sorted) is non-empty
   /// and every member's declared slice is satisfied within `set`.  A member

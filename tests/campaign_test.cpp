@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,10 +24,17 @@
 namespace qip {
 namespace {
 
+/// A path no earlier test run left anything at.  Process ids recycle, and
+/// the campaign tests leave their output directories behind, so a stale
+/// path from an earlier run under the same pid is removed first (a stale
+/// journal there makes a fresh campaign refuse to start).
 std::string unique_temp_path(const std::string& stem) {
   static int counter = 0;
-  return ::testing::TempDir() + stem + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter++);
+  const std::string path = ::testing::TempDir() + stem + "_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(counter++);
+  std::filesystem::remove_all(path);
+  return path;
 }
 
 std::string slurp(const std::string& path) {

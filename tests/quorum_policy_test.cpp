@@ -1,8 +1,7 @@
-// Tests for the pluggable quorum-backend layer: backend selection, counting
-// and set-form equivalences across majority / dynamic_linear and the
-// flat-majority slice declaration, federated slice semantics,
-// enumeration-cap rejection, and the property-based intersection checker
-// (docs/QUORUM.md).
+// Tests for the quorum backends: backend selection, equivalences between
+// the counting rule, the explicit systems and the flat-majority slice
+// declaration, federated slice semantics, enumeration-cap rejection, and the
+// property-based intersection checker (docs/QUORUM.md).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,7 +12,6 @@
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/world.hpp"
-#include "quorum/dynamic_linear.hpp"
 #include "quorum/intersection_checker.hpp"
 #include "quorum/quorum_policy.hpp"
 #include "quorum/quorum_system.hpp"
@@ -48,10 +46,6 @@ std::vector<std::uint32_t> subset_of(std::uint32_t mask,
 TEST(QuorumBackend, NamesRoundTrip) {
   EXPECT_STREQ(to_string(QuorumBackend::kMajority), "majority");
   EXPECT_STREQ(to_string(QuorumBackend::kDynamicLinear), "dynamic_linear");
-  for (QuorumBackend b : kBackends) {
-    EXPECT_EQ(quorum_policy(b).kind(), b);
-    EXPECT_STREQ(quorum_policy(b).name(), to_string(b));
-  }
 }
 
 TEST(QuorumBackend, ParamsDefaultIgnoresEnvironment) {
@@ -67,44 +61,27 @@ TEST(QuorumBackend, ParamsDefaultIgnoresEnvironment) {
 // Cross-backend equivalences (the fault-free suite of docs/QUORUM.md)
 // ---------------------------------------------------------------------------
 
-TEST(QuorumPolicyEquivalence, CountingFormsAgree) {
-  const auto& maj = quorum_policy(QuorumBackend::kMajority);
-  const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  for (std::uint32_t n = 1; n <= 20; ++n) {
-    EXPECT_EQ(maj.threshold(n, false), n / 2 + 1);
-    // Dynamic linear agrees except on the even-group distinguished discount.
-    EXPECT_EQ(dl.threshold(n, false), maj.threshold(n, false));
-    EXPECT_EQ(dl.threshold(n, true), quorum_threshold(n, true));
-    if (n % 2 == 0 && n >= 2) {
-      EXPECT_EQ(dl.threshold(n, true), maj.threshold(n, true) - 1);
-    }
-  }
-}
-
-TEST(QuorumPolicyEquivalence, SetFormsAgreeWithoutDistinguished) {
-  // majority ≡ dynamic_linear(distinguished = ∅) ≡ flat-majority slices,
-  // on every subset of every small universe.
-  const auto& maj = quorum_policy(QuorumBackend::kMajority);
-  const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
+TEST(QuorumRuleEquivalence, SetFormsAgreeWithoutDistinguished) {
+  // Without the distinguished voter both backends count a strict majority,
+  // and so does the flat-majority slice declaration, on every subset of
+  // every small universe.
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
     const SliceConfig flat = SliceConfig::flat_majority(u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       const auto s = subset_of(mask, u);
-      const bool by_majority = maj.is_quorum(u, s, std::nullopt);
-      EXPECT_EQ(dl.is_quorum(u, s, std::nullopt), by_majority)
-          << "n=" << n << " mask=" << mask;
-      EXPECT_EQ(flat.is_quorum(s), by_majority)
-          << "n=" << n << " mask=" << mask;
+      for (QuorumBackend b : kBackends) {
+        EXPECT_EQ(s.size() >= quorum_threshold(b, n, false), flat.is_quorum(s))
+            << to_string(b) << " n=" << n << " mask=" << mask;
+      }
     }
   }
 }
 
-TEST(QuorumPolicyEquivalence, MaterializedSystemsCoverIdentically) {
-  const auto& maj = quorum_policy(QuorumBackend::kMajority);
+TEST(QuorumRuleEquivalence, MaterializedSystemsCoverIdentically) {
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
-    const QuorumSystem a = maj.materialize(u, std::nullopt);
+    const QuorumSystem a = write_system(QuorumBackend::kMajority, u, u.front());
     const QuorumSystem b =
         QuorumSystem::from_slices(SliceConfig::flat_majority(u), u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
@@ -115,52 +92,33 @@ TEST(QuorumPolicyEquivalence, MaterializedSystemsCoverIdentically) {
   }
 }
 
-TEST(QuorumPolicyEquivalence, DynamicLinearMatchesFreeFunctions) {
-  // The refactor must be byte-identical in behavior to the §II-D free
-  // functions the engine used before the policy layer existed.
-  const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  for (std::uint32_t n = 1; n <= 7; ++n) {
-    const auto u = universe(n);
-    for (std::uint32_t dist = 1; dist <= n; ++dist) {
-      for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-        const auto s = subset_of(mask, u);
-        EXPECT_EQ(dl.is_quorum(u, s, dist), is_quorum(n, s, dist))
-            << "n=" << n << " dist=" << dist << " mask=" << mask;
-      }
-      for (bool has : {false, true}) {
-        EXPECT_EQ(dl.threshold(n, has), quorum_threshold(n, has));
-      }
-    }
-  }
-}
-
-TEST(QuorumPolicy, ReadSystemsIntersectWriteSystems) {
+TEST(QuorumRule, ReadSystemsIntersectWriteSystems) {
   for (QuorumBackend b : kBackends) {
-    const auto& policy = quorum_policy(b);
     for (std::uint32_t n = 1; n <= 7; ++n) {
       const auto u = universe(n);
-      const QuorumSystem writes = policy.materialize(u, u.front());
-      const QuorumSystem reads = policy.read_system(u, u.front());
-      EXPECT_TRUE(writes.pairwise_intersecting()) << policy.name() << " " << n;
+      const QuorumSystem writes = write_system(b, u, u.front());
+      const QuorumSystem reads = read_system(b, u, u.front());
+      EXPECT_TRUE(writes.pairwise_intersecting()) << to_string(b) << " " << n;
       for (const auto& r : reads.quorums()) {
         for (const auto& w : writes.quorums()) {
           std::vector<std::uint32_t> overlap;
           std::set_intersection(r.begin(), r.end(), w.begin(), w.end(),
                                 std::back_inserter(overlap));
           EXPECT_FALSE(overlap.empty())
-              << policy.name() << " n=" << n << ": read quorum misses write";
+              << to_string(b) << " n=" << n << ": read quorum misses write";
         }
       }
     }
   }
 }
 
-TEST(QuorumPolicy, MajorityReadQuorumsAreMinimal) {
+TEST(QuorumRule, MajorityReadQuorumsAreMinimal) {
   // r = n − w + 1: reads are cheaper than writes on even groups.
-  const auto& maj = quorum_policy(QuorumBackend::kMajority);
-  const QuorumSystem reads = maj.read_system(universe(6), std::nullopt);
+  const QuorumSystem reads =
+      read_system(QuorumBackend::kMajority, universe(6), 1);
   EXPECT_EQ(reads.min_quorum_size(), 3u);
-  const QuorumSystem writes = maj.materialize(universe(6), std::nullopt);
+  const QuorumSystem writes =
+      write_system(QuorumBackend::kMajority, universe(6), 1);
   EXPECT_EQ(writes.min_quorum_size(), 4u);
 }
 
@@ -287,8 +245,7 @@ TEST(QuorumSystemCaps, FixedSizeRejectsBadK) {
 TEST(IntersectionChecker, ExhaustivePassesOnAllBackends) {
   for (QuorumBackend b : kBackends) {
     for (std::uint32_t n = 1; n <= 6; ++n) {
-      const IntersectionReport r =
-          check_intersection_exhaustive(quorum_policy(b), n);
+      const IntersectionReport r = check_intersection_exhaustive(b, n);
       EXPECT_TRUE(r.ok) << to_string(b) << " n=" << n << ": " << r.violation;
       EXPECT_GE(r.views, 1u);
       if (n >= 3) {
@@ -306,11 +263,9 @@ TEST(IntersectionChecker, DynamicLinearReachesHalfSizeViews) {
   // survivorship: from {0,1,2,3}, survivors {0,1} (with distinguished 0)
   // commit the shrink — a view no majority backend can reach.
   const IntersectionReport dl =
-      check_intersection_exhaustive(
-          quorum_policy(QuorumBackend::kDynamicLinear), 4);
+      check_intersection_exhaustive(QuorumBackend::kDynamicLinear, 4);
   const IntersectionReport maj =
-      check_intersection_exhaustive(quorum_policy(QuorumBackend::kMajority),
-                                    4);
+      check_intersection_exhaustive(QuorumBackend::kMajority, 4);
   EXPECT_TRUE(dl.ok) << dl.violation;
   EXPECT_TRUE(maj.ok) << maj.violation;
   EXPECT_GT(dl.views, maj.views);
@@ -319,8 +274,7 @@ TEST(IntersectionChecker, DynamicLinearReachesHalfSizeViews) {
 TEST(IntersectionChecker, RandomizedPassesOnLargerUniverses) {
   for (QuorumBackend b : kBackends) {
     const IntersectionReport r = check_intersection_random(
-        quorum_policy(b), /*universe_size=*/14, /*seed=*/0x5eed,
-        /*trials=*/64);
+        b, /*universe_size=*/14, /*seed=*/0x5eed, /*trials=*/64);
     EXPECT_TRUE(r.ok) << to_string(b) << ": " << r.violation;
     EXPECT_GE(r.views, 64u);
     EXPECT_GT(r.shrinks, 0u);
@@ -394,7 +348,7 @@ ScenarioOutcome run_scenario(QuorumBackend backend) {
   return out;
 }
 
-TEST(QuorumPolicyEquivalence, EngineDefaultMatchesExplicitDynamicLinear) {
+TEST(QuorumRuleEquivalence, EngineDefaultMatchesExplicitDynamicLinear) {
   const ScenarioOutcome dflt = run_scenario(QipParams{}.quorum);
   const ScenarioOutcome dl = run_scenario(QuorumBackend::kDynamicLinear);
   EXPECT_EQ(dflt.addresses, dl.addresses);

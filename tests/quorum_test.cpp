@@ -2,9 +2,10 @@
 // explicit quorum systems (§II-C, §II-D).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 
-#include "quorum/dynamic_linear.hpp"
 #include "quorum/quorum_policy.hpp"
 #include "quorum/quorum_system.hpp"
 #include "util/assert.hpp"
@@ -12,10 +13,25 @@
 namespace qip {
 namespace {
 
+constexpr QuorumBackend kBackends[] = {QuorumBackend::kMajority,
+                                       QuorumBackend::kDynamicLinear};
+
 std::vector<std::uint32_t> universe(std::uint32_t n) {
   std::vector<std::uint32_t> u(n);
   std::iota(u.begin(), u.end(), 1u);
   return u;
+}
+
+/// The engine's count over explicit responders from a group of `n`: a
+/// quorum iff they reach quorum_threshold(), with the distinguished bit set
+/// when `dist` is among them.
+bool counted_quorum(QuorumBackend backend, std::uint32_t n,
+                    const std::vector<std::uint32_t>& responders,
+                    std::optional<std::uint32_t> dist = std::nullopt) {
+  const bool has_dist =
+      dist && std::find(responders.begin(), responders.end(), *dist) !=
+                  responders.end();
+  return responders.size() >= quorum_threshold(backend, n, has_dist);
 }
 
 // ---------------------------------------------------------------------------
@@ -30,8 +46,7 @@ struct MajorityQuorums {
 };
 
 MajorityQuorums majority_quorums(std::uint32_t v) {
-  const std::uint32_t w =
-      quorum_policy(QuorumBackend::kMajority).threshold(v, false);
+  const std::uint32_t w = quorum_threshold(QuorumBackend::kMajority, v, false);
   return {w, v - w + 1};
 }
 
@@ -49,8 +64,8 @@ TEST_P(QuorumSpecProperty, MinimalSatisfiesPaperConditions) {
   // The explicit read system (what the intersection checker consumes) uses
   // exactly these minimal reads.
   if (v <= QuorumSystem::kMaxUniverse) {
-    const QuorumSystem reads = quorum_policy(QuorumBackend::kMajority)
-                                   .read_system(universe(v), std::nullopt);
+    const QuorumSystem reads =
+        read_system(QuorumBackend::kMajority, universe(v), 1);
     EXPECT_EQ(reads.min_quorum_size(), r);
   }
 }
@@ -71,23 +86,32 @@ TEST(QuorumSpec, KnownValues) {
 // ---------------------------------------------------------------------------
 
 TEST(DynamicLinear, ThresholdEvenOdd) {
+  constexpr QuorumBackend dl = QuorumBackend::kDynamicLinear;
   // Odd group: distinguished node gives no discount.
-  EXPECT_EQ(quorum_threshold(5, false), 3u);
-  EXPECT_EQ(quorum_threshold(5, true), 3u);
+  EXPECT_EQ(quorum_threshold(dl, 5, false), 3u);
+  EXPECT_EQ(quorum_threshold(dl, 5, true), 3u);
   // Even group: exactly-half acceptable with the distinguished node.
-  EXPECT_EQ(quorum_threshold(6, false), 4u);
-  EXPECT_EQ(quorum_threshold(6, true), 3u);
-  EXPECT_EQ(quorum_threshold(1, true), 1u);
-  EXPECT_EQ(quorum_threshold(2, true), 1u);
+  EXPECT_EQ(quorum_threshold(dl, 6, false), 4u);
+  EXPECT_EQ(quorum_threshold(dl, 6, true), 3u);
+  EXPECT_EQ(quorum_threshold(dl, 1, true), 1u);
+  EXPECT_EQ(quorum_threshold(dl, 2, true), 1u);
+  // Majority never discounts.
+  for (std::uint32_t n = 1; n <= 20; ++n) {
+    for (bool has_dist : {false, true}) {
+      EXPECT_EQ(quorum_threshold(QuorumBackend::kMajority, n, has_dist),
+                n / 2 + 1);
+    }
+  }
 }
 
 TEST(DynamicLinear, IsQuorumMajority) {
-  EXPECT_TRUE(is_quorum(5, {1, 2, 3}));
-  EXPECT_FALSE(is_quorum(5, {1, 2}));
-  EXPECT_FALSE(is_quorum(4, {1, 2}));             // exactly half, no dist
-  EXPECT_TRUE(is_quorum(4, {1, 2}, 1));           // half containing dist
-  EXPECT_FALSE(is_quorum(4, {2, 3}, 1));          // half without dist
-  EXPECT_TRUE(is_quorum(4, {2, 3, 4}, 1));        // majority wins anyway
+  constexpr QuorumBackend dl = QuorumBackend::kDynamicLinear;
+  EXPECT_TRUE(counted_quorum(dl, 5, {1, 2, 3}));
+  EXPECT_FALSE(counted_quorum(dl, 5, {1, 2}));
+  EXPECT_FALSE(counted_quorum(dl, 4, {1, 2}));       // exactly half, no dist
+  EXPECT_TRUE(counted_quorum(dl, 4, {1, 2}, 1));     // half containing dist
+  EXPECT_FALSE(counted_quorum(dl, 4, {2, 3}, 1));    // half without dist
+  EXPECT_TRUE(counted_quorum(dl, 4, {2, 3, 4}, 1));  // majority wins anyway
 }
 
 TEST(DynamicLinear, TwoHalvesCannotBothBeQuorums) {
@@ -95,8 +119,12 @@ TEST(DynamicLinear, TwoHalvesCannotBothBeQuorums) {
   // distinguished node, so at most one is a quorum.
   const std::vector<std::uint32_t> left{1, 2, 3};
   const std::vector<std::uint32_t> right{4, 5, 6};
-  for (std::uint32_t dist = 1; dist <= 6; ++dist) {
-    EXPECT_FALSE(is_quorum(6, left, dist) && is_quorum(6, right, dist));
+  for (QuorumBackend b : kBackends) {
+    for (std::uint32_t dist = 1; dist <= 6; ++dist) {
+      EXPECT_FALSE(counted_quorum(b, 6, left, dist) &&
+                   counted_quorum(b, 6, right, dist))
+          << to_string(b) << " dist=" << dist;
+    }
   }
 }
 
@@ -152,34 +180,25 @@ TEST_P(QuorumSystemProperty, PairwiseIntersectionHolds) {
 INSTANTIATE_TEST_SUITE_P(Sizes, QuorumSystemProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-/// Property: quorum_threshold matches the explicit set system — a subset is
-/// a quorum iff its size reaches the threshold (given whether it holds the
-/// distinguished element).
+/// Property: quorum_threshold matches the explicit write system of each
+/// backend — a subset is a quorum iff its size reaches the threshold (given
+/// whether it holds the distinguished element).
 class ThresholdConsistency : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ThresholdConsistency, MatchesSetSystem) {
   const std::uint32_t n = GetParam();
   const std::uint32_t dist = 1;
-  const auto qs = QuorumSystem::dynamic_linear(universe(n), dist);
-  // Enumerate all subsets of the universe.
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::vector<std::uint32_t> subset;
-    bool has_dist = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        subset.push_back(i + 1);
-        has_dist |= (i + 1 == dist);
+  for (QuorumBackend b : kBackends) {
+    const auto qs = write_system(b, universe(n), dist);
+    // Enumerate all subsets of the universe.
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<std::uint32_t> subset;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (mask & (1u << i)) subset.push_back(i + 1);
       }
+      EXPECT_EQ(qs.covers_quorum(subset), counted_quorum(b, n, subset, dist))
+          << to_string(b) << " n=" << n << " mask=" << mask;
     }
-    const bool by_sets = qs.covers_quorum(subset);
-    const bool by_threshold =
-        subset.size() >= quorum_threshold(n, has_dist) &&
-        (2 * subset.size() > n || has_dist);
-    EXPECT_EQ(by_sets, by_threshold)
-        << "n=" << n << " subset size=" << subset.size()
-        << " has_dist=" << has_dist;
-    // And is_quorum agrees too.
-    EXPECT_EQ(is_quorum(n, subset, dist), by_sets);
   }
 }
 
