@@ -32,6 +32,7 @@ void ClusterView::set_head(NodeId id) {
     if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
   }
   s = Slot{Role::kClusterHead, kNoNode};
+  ++head_set_version_;
 }
 
 void ClusterView::set_member(NodeId id, NodeId head) {
@@ -71,6 +72,7 @@ void ClusterView::remove(NodeId id) {
       for (NodeId member : cluster_it->second) plane_[member].head = kNoNode;
       cluster_.erase(cluster_it);
     }
+    ++head_set_version_;
   } else if (plane_[id].head != kNoNode) {
     auto cluster_it = cluster_.find(plane_[id].head);
     if (cluster_it != cluster_.end()) cluster_it->second.erase(id);
@@ -146,6 +148,21 @@ std::optional<NodeId> ClusterView::nearest_head(NodeId id) const {
     if (seen == prev_seen) return std::nullopt;  // ring covered the component
     prev_seen = seen;
   }
+}
+
+bool ClusterView::other_head_reachable(NodeId id) const {
+  if (counted_epoch_ != topology_->epoch() ||
+      counted_version_ != head_set_version_) {
+    heads_per_component_.assign(topology_->components_view().size(), 0);
+    for (NodeId head = 0; head < plane_.size(); ++head) {
+      if (is_head(head) && topology_->has_node(head))
+        ++heads_per_component_[topology_->component_index(head)];
+    }
+    counted_epoch_ = topology_->epoch();
+    counted_version_ = head_set_version_;
+  }
+  const std::uint32_t self = is_head(id) ? 1 : 0;
+  return heads_per_component_[topology_->component_index(id)] > self;
 }
 
 bool ClusterView::heads_nonadjacent() const {

@@ -11,12 +11,15 @@
 // (driver ids are sequential, as in NodeTable's rank index): role(),
 // is_head() and head_of() are one array read, which is what the hello
 // tick's ring searches pay for every node their BFS visits.  Ids past the
-// plane's end are unconfigured.  heads() and head_count() walk the plane.
-// Only head -> members stays a hash map; it serves members_of() and the
-// orphaning in remove(), neither of which runs per visited node.
+// plane's end are unconfigured.  heads() and head_count() walk the plane,
+// and so does the per-component head count behind other_head_reachable(),
+// once per topology epoch and head set.  Only head -> members stays a hash
+// map; it serves members_of() and the orphaning in remove(), neither of
+// which runs per visited node.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,6 +85,15 @@ class ClusterView {
   /// Nearest cluster head reachable from `id` (any distance), or nullopt.
   std::optional<NodeId> nearest_head(NodeId id) const;
 
+  /// Whether a head other than `id` shares `id`'s component: what
+  /// nearest_head(id).has_value() answers, without the search.  It reads a
+  /// count of heads per component, taken in one pass over the heads and
+  /// memoized on the topology epoch and the head set, so a hello tick pays
+  /// for one pass however many heads ask.  A per-event caller would pay a
+  /// recount after every head-set change: use nearest_head there.  `id`
+  /// must be in the topology.
+  bool other_head_reachable(NodeId id) const;
+
   /// Invariant from §II-B: no two cluster heads are one-hop neighbors.
   /// (May be transiently violated by mobility; the protocol tolerates it.)
   bool heads_nonadjacent() const;
@@ -97,6 +109,14 @@ class ClusterView {
 
   const Topology* topology_;
   std::vector<Slot> plane_;  // id -> role and head
+  // Bumped whenever a node gains or loses the head role.
+  std::uint64_t head_set_version_ = 0;
+  // other_head_reachable's memo: heads in the topology per component, as
+  // counted at (counted_epoch_, counted_version_).
+  mutable std::vector<std::uint32_t> heads_per_component_;
+  mutable std::uint64_t counted_epoch_ =
+      std::numeric_limits<std::uint64_t>::max();  // nothing counted yet
+  mutable std::uint64_t counted_version_ = 0;
   std::unordered_map<NodeId, std::unordered_set<NodeId>> cluster_;  // head -> members
   // heads_within's (hops, id) pairs, reused so a query allocates only its
   // result.

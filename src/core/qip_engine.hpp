@@ -279,6 +279,12 @@ class QipEngine : public AutoconfProtocol {
 
   // ---- maintenance (qip_maintenance.cpp) ----------------------------------
   void location_update_scan();
+  /// A head the hello tick's census counts: a live, unquarantined
+  /// ClusterView head in the topology.
+  bool census_head(NodeId id) const;
+  /// Whether the census leaves a head of `head`'s network outside `head`
+  /// and its QDSet: without one, no QDSet link can form this tick.
+  bool census_candidate_left(NodeId head) const;
   void head_neighborhood_scan(NodeId head);
   void suspect(NodeId head, NodeId missing);
   void unsuspect(NodeId head, NodeId member);
@@ -353,6 +359,9 @@ class QipEngine : public AutoconfProtocol {
   /// Reused quorum-round scratch: the voting group under construction
   /// (sorted; cleared per round, capacity retained — docs/SCALE.md).
   std::vector<NodeId> round_group_;
+  /// The hello tick's head census: one network id per census head, sorted,
+  /// so a network's head count is an equal_range (capacity retained).
+  std::vector<NetworkId> head_census_;
   std::uint64_t config_failures_ = 0;
   std::uint64_t config_successes_ = 0;
   std::uint64_t reclaims_started_ = 0;

@@ -6,6 +6,7 @@
 
 #include "fault/adversary.hpp"
 #include "net/failure_detector.hpp"
+#include "obs/profile.hpp"
 #include "sim/sim_context.hpp"
 #include "util/flat_hash.hpp"
 
@@ -26,6 +27,7 @@ void QipEngine::start_hello() {
 }
 
 void QipEngine::hello_tick() {
+  obs::ProfileScope prof("qip_hello_tick", ctx().recorder(), ctx().metrics());
   // Scheduled attacks fire first (null-gated: a run with no adversary plan
   // takes one pointer check and is byte-identical to the seed behavior).
   run_adversary_tick();
@@ -48,7 +50,14 @@ void QipEngine::hello_tick() {
     }
   }
 
-  for (NodeId h : clusters_.heads()) {
+  // The head census that steps 2 and 3 of head_neighborhood_scan consult.
+  const std::vector<NodeId> heads = clusters_.heads();
+  head_census_.clear();
+  for (NodeId h : heads) {
+    if (census_head(h)) head_census_.push_back(node(h).network_id);
+  }
+  std::sort(head_census_.begin(), head_census_.end());
+  for (NodeId h : heads) {
     if (alive(h) && topology().has_node(h)) head_neighborhood_scan(h);
   }
   merge_scan();
@@ -151,6 +160,29 @@ void QipEngine::location_update_scan() {
 // Quorum adjustment (§V-B)
 // ---------------------------------------------------------------------------
 
+bool QipEngine::census_head(NodeId id) const {
+  return alive(id) && clusters_.is_head(id) && !is_quarantined(id) &&
+         topology().has_node(id);
+}
+
+bool QipEngine::census_candidate_left(NodeId head) const {
+  const QipNodeState& st = node(head);
+  const auto [lo, hi] = std::equal_range(head_census_.begin(),
+                                         head_census_.end(), st.network_id);
+  const auto counted = static_cast<std::size_t>(hi - lo);
+  // What the loop below subtracts is at most the QDSet plus the head, so a
+  // network holding more census heads answers without it.
+  if (counted > st.qdset.size() + 1) return true;
+  // Subtract only what the census counted: the head itself and the QDSet
+  // members that are still census heads of its network (a demoted or
+  // quarantined member was never a candidate).
+  std::size_t linked = census_head(head) ? 1 : 0;
+  for (NodeId m : st.qdset) {
+    if (census_head(m) && node(m).network_id == st.network_id) ++linked;
+  }
+  return counted > linked;
+}
+
 void QipEngine::head_neighborhood_scan(NodeId head) {
   auto& st = node(head);
 
@@ -185,12 +217,22 @@ void QipEngine::head_neighborhood_scan(NodeId head) {
     }
   }
 
+  // Steps 2 and 3 search for heads to link, and add_qdset_link refuses
+  // every head of another network, so they run only while the tick's head
+  // census leaves a same-network head outside the QDSet.  Skipping is
+  // exact: during the heads loop no node becomes a head, turns eligible or
+  // joins a network.  The loop's only changes are isolated_head_recovery
+  // moving a head into a fresh network (a new nonce no other head holds)
+  // and hardened quarantine removing a head; both shrink a network's
+  // eligible set, so the census can only over-count candidates, and a
+  // skipped search could not have added a link.
+  //
   // 2. Newly adjacent heads expand the quorum set.
-  const std::vector<NodeId> ring =
-      clusters_.heads_within(head, params_.qdset_radius);
-  for (NodeId h : ring) {
-    if (!alive(h) || is_quarantined(h) || st.qdset.count(h)) continue;
-    add_qdset_link(head, h, Traffic::kMaintenance);
+  if (census_candidate_left(head)) {
+    for (NodeId h : clusters_.heads_within(head, params_.qdset_radius)) {
+      if (!alive(h) || is_quarantined(h) || st.qdset.count(h)) continue;
+      add_qdset_link(head, h, Traffic::kMaintenance);
+    }
   }
 
   // Hardened squat detection: challenge nearby same-network claims our
@@ -198,17 +240,14 @@ void QipEngine::head_neighborhood_scan(NodeId head) {
   if (harden_on()) detect_squats(head);
 
   // 3. Replica floor: recruit farther heads when the QDSet got too small.
-  if (st.qdset.size() < params_.min_qdset) grow_quorum(head);
+  if (st.qdset.size() < params_.min_qdset && census_candidate_left(head))
+    grow_quorum(head);
 
   // 4. Isolation (§V-C): a head that once had a quorum group but can reach
   // no other head at all cannot assemble any quorum; after a few patient
-  // scans it restarts as a fresh network.  No role or link has changed
-  // since step 2 (the steps in between only send, and delivery is
-  // asynchronous), so the ring still holds: a head inside it settles the
-  // question, and only an empty ring pays for the expanding search.
-  const bool sees_other_head =
-      !ring.empty() || clusters_.nearest_head(head).has_value();
-  if (!sees_other_head && !st.replicas.empty()) {
+  // scans it restarts as a fresh network.  Any other head in its component
+  // counts, whatever its network: §V-C's isolated head reaches none.
+  if (!st.replicas.empty() && !clusters_.other_head_reachable(head)) {
     if (++st.isolation_ticks >= params_.isolation_patience) {
       st.isolation_ticks = 0;
       isolated_head_recovery(head);

@@ -101,11 +101,14 @@ std::vector<NodeId> Topology::component_of(NodeId id) const {
 }
 
 const std::vector<NodeId>& Topology::component_view(NodeId id) const {
-  QIP_ASSERT(has_node(id));
+  return components_view()[component_index(id)];
+}
+
+std::uint32_t Topology::component_index(NodeId id) const {
   const auto& comps = cache_.components(index_);
   const auto rank = cache_.csr(index_).rank_of(id);
   QIP_ASSERT(rank.has_value());
-  return comps.groups[comps.group_of[*rank]];
+  return comps.group_of[*rank];
 }
 
 std::vector<std::vector<NodeId>> Topology::components() const {

@@ -135,6 +135,10 @@ class Topology {
   /// Same, without the copy (the cached partition's group).
   const std::vector<NodeId>& component_view(NodeId id) const;
 
+  /// Index of `id`'s group in components_view(); two nodes share a
+  /// component iff their indices are equal.
+  std::uint32_t component_index(NodeId id) const;
+
   /// All connected components, each sorted, ordered by smallest member.
   std::vector<std::vector<NodeId>> components() const;
 

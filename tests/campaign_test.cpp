@@ -25,7 +25,7 @@ namespace qip {
 namespace {
 
 /// A path no earlier test run left anything at.  Process ids recycle, and
-/// the campaign tests leave their output directories behind, so a stale
+/// a run killed before its cleanup leaves its output behind, so a stale
 /// path from an earlier run under the same pid is removed first (a stale
 /// journal there makes a fresh campaign refuse to start).
 std::string unique_temp_path(const std::string& stem) {
@@ -36,6 +36,25 @@ std::string unique_temp_path(const std::string& stem) {
   std::filesystem::remove_all(path);
   return path;
 }
+
+/// A campaign output directory at a fresh unique_temp_path, removed with
+/// everything in it when the test ends, whether it passed, failed an
+/// assertion or threw.
+class TempTree {
+ public:
+  explicit TempTree(const std::string& stem) : path_(unique_temp_path(stem)) {}
+  ~TempTree() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempTree(const TempTree&) = delete;
+  TempTree& operator=(const TempTree&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -430,7 +449,8 @@ TEST(CampaignRunner, RunsAGridAndReportsEveryCell) {
   spec.seeds = 2;
   CampaignOptions options;
   options.jobs = 2;
-  options.out_dir = unique_temp_path("campaign");
+  const TempTree out_dir("campaign");
+  options.out_dir = out_dir.path();
   CampaignRunner runner(spec, options);
   CampaignOutcome outcome;
   std::string err;
@@ -459,7 +479,8 @@ TEST(CampaignRunner, InjectedCrashIsRetriedAndSurfaced) {
   options.jobs = 1;
   options.retries = 1;
   options.backoff_ms = 1;
-  options.out_dir = unique_temp_path("campaign");
+  const TempTree out_dir("campaign");
+  options.out_dir = out_dir.path();
   InjectPlan inject;
   std::string err;
   ASSERT_TRUE(InjectPlan::parse("crash:0@0", &inject, &err)) << err;
@@ -487,7 +508,8 @@ TEST(CampaignRunner, ExhaustionIsMarkedNotFatal) {
   options.jobs = 1;
   options.retries = 1;
   options.backoff_ms = 1;
-  options.out_dir = unique_temp_path("campaign");
+  const TempTree out_dir("campaign");
+  options.out_dir = out_dir.path();
   InjectPlan inject;
   std::string err;
   ASSERT_TRUE(InjectPlan::parse("crash:0@0,crash:0@1", &inject, &err)) << err;
@@ -514,7 +536,8 @@ TEST(CampaignRunner, ResumeCompletesOnlyIncompleteCells) {
   CampaignOptions options;
   options.jobs = 1;
   options.retries = 0;
-  options.out_dir = unique_temp_path("campaign");
+  const TempTree out_dir("campaign");
+  options.out_dir = out_dir.path();
 
   // First run: cell 1 never succeeds (no retries), cells 0 and 2 complete.
   InjectPlan inject;

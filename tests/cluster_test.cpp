@@ -389,6 +389,10 @@ TEST(ClusterViewDifferential, DensePlaneMatchesHashContainers) {
       const std::optional<NodeId> nearest = ref.nearest_head(q);
       ASSERT_EQ(view.nearest_head(q), nearest)
           << "step " << step << " node " << q;
+      // A role-only step leaves the topology epoch alone: the memoized
+      // per-component head counts must notice the head set changed.
+      ASSERT_EQ(view.other_head_reachable(q), nearest.has_value())
+          << "step " << step << " node " << q;
       if (!nearest) {
         ++headless;
       } else if (*topo.hop_distance(q, *nearest) > 2) {

@@ -216,6 +216,84 @@ TEST_F(PartitionFixture, HeadBeyondQdsetRadiusIsNotIsolated) {
   EXPECT_TRUE(proto->state_of(a).replicas.count(b));
 }
 
+TEST_F(PartitionFixture, ReplicaFloorRecruitsAHeadPastTheRing) {
+  init();
+  // A(0) - r1 - r2 - B - c1 - c2 - C: B is elected three hops from A and C
+  // three hops from B, so A links B and B links C, while A, six hops from
+  // C, stays below the replica floor with a QDSet of one.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(5.0);
+  driver->join_at({240, 500});
+  driver->join_at({380, 500});
+  const NodeId b = driver->join_at({520, 500});
+  world.run_for(3.0);
+  const NodeId c1 = driver->join_at({660, 500});
+  driver->join_at({800, 500});
+  const NodeId c = driver->join_at({940, 500});
+  world.run_for(3.0);
+  ASSERT_TRUE(proto->clusters().is_head(b));
+  ASSERT_TRUE(proto->clusters().is_head(c));
+  ASSERT_EQ(proto->state_of(a).qdset, (std::set<NodeId>{b}));
+  ASSERT_LT(proto->state_of(a).qdset.size(), qp.min_qdset);
+  ASSERT_EQ(proto->state_of(a).network_id, proto->state_of(c).network_id);
+
+  // C steps beside c1: five hops from A, past the QDSet ring but inside
+  // the replica floor's reach of qdset_radius + 2.
+  world.topology().move_node(c, {700, 600});
+  ASSERT_EQ(world.topology().hop_distance(c, c1), 1u);
+  ASSERT_EQ(world.topology().hop_distance(a, c), 5u);
+  ASSERT_GT(5u, qp.qdset_radius);
+  world.run_for(2.0);
+  EXPECT_TRUE(proto->state_of(a).qdset.count(c));
+  EXPECT_TRUE(proto->state_of(a).replicas.count(c));
+  EXPECT_TRUE(proto->state_of(c).qdset.count(a));
+}
+
+TEST_F(PartitionFixture, ForeignHeadIsNoCandidateButEndsIsolation) {
+  qp.isolation_patience = 3;
+  init();
+  // A(0) - r1 - r2 - B: B links A.  F, out of everyone's range, starts a
+  // network of its own.
+  const NodeId a = driver->join_at({100, 500});
+  world.run_for(5.0);
+  const NodeId r1 = driver->join_at({240, 500});
+  const NodeId r2 = driver->join_at({380, 500});
+  const NodeId b = driver->join_at({520, 500});
+  world.run_for(3.0);
+  const NodeId f = driver->join_at({900, 500});
+  world.run_for(6.0);
+  ASSERT_TRUE(proto->clusters().is_head(b));
+  ASSERT_TRUE(proto->clusters().is_head(f));
+  ASSERT_EQ(proto->state_of(b).qdset, (std::set<NodeId>{a}));
+  ASSERT_NE(proto->state_of(f).network_id.nonce,
+            proto->state_of(b).network_id.nonce);
+
+  // Radios the protocol has not heard from put F three hops from B, inside
+  // its QDSet ring, without making two configured nodes of different
+  // networks adjacent (merge_scan sees no boundary); then B loses A.
+  world.topology().add_node(100, {640, 500});
+  world.topology().add_node(101, {770, 500});
+  driver->depart_abrupt(r1);
+  driver->depart_abrupt(r2);
+  ASSERT_EQ(world.topology().hop_distance(b, f), 3u);
+  ASSERT_FALSE(world.topology().reachable(a, b));
+  const std::uint64_t nonce = proto->state_of(b).network_id.nonce;
+
+  // B is alone in its network and below the replica floor: F is the only
+  // head its searches could find, and add_qdset_link refuses it.  F still
+  // counts as a reachable head, so B never counts isolation ticks (alone,
+  // it would restart within the patience window, as in
+  // IsolatedHeadRestartsFreshNetwork).
+  world.run_for(3.0 * qp.isolation_patience + 1.0);
+  const auto& sb = proto->state_of(b);
+  EXPECT_EQ(sb.isolation_ticks, 0u);
+  EXPECT_EQ(sb.network_id.nonce, nonce);
+  EXPECT_EQ(sb.qdset.count(f), 0u);
+  EXPECT_TRUE(sb.replicas.count(a));
+  EXPECT_TRUE(proto->state_of(f).qdset.empty());
+  EXPECT_EQ(proto->merges_handled(), 0u);
+}
+
 TEST_F(PartitionFixture, RefreshTreatsEachNonceGroupOnItsOwn) {
   init();
   // Pool Y: head C and its member D.
